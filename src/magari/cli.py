@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import __version__
 from .algebra import Element, format_element, parse_element
-from .decide import Equation, Lasso, QuasiQuery, brute_force, decide, lasso_assignment, replay
+from .decide import Equation, Lasso, QuasiQuery, cross_check, decide, replay
 from .expressibility import (
     PrecompletenessReport,
     enumerate_closure,
@@ -163,17 +163,13 @@ def _cmd_check(args) -> int:
 
     bound = _resolve_bound(args.oracle_bound)
     if bound is not None:
-        found = brute_force(query, bound)
+        found, disagreement = cross_check(query, verdict, bound)
         report["oracle_bound"] = bound
         report["oracle_counterexample"] = (
             {v: format_element(e) for v, e in found.items()} if found is not None else None
         )
-        if verdict.valid and found is not None:
-            raise InternalCheckError("decider said Valid but the oracle found a counterexample")
-        if verdict.lasso is not None and found is None:
-            fits = all(len(e.prefix) <= bound for e in lasso_assignment(verdict.lasso).values())
-            if fits:
-                raise InternalCheckError("decider counterexample fits the oracle box but the oracle found none")
+        if disagreement is not None:
+            raise InternalCheckError(disagreement)
 
     report["duration_s"] = round(time.perf_counter() - started, 6)
     report["version"] = __version__
@@ -391,6 +387,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, UnboundVariableError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except (InternalCheckError, AssertionError) as e:
         print(f"internal consistency violation: {e}", file=sys.stderr)

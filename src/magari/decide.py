@@ -23,15 +23,18 @@ the search below is exact on the intended carrier:
      hypothesis-true transitions.
 
 Letters are explored lexicographically smallest first and configurations in
-discovery order, so the returned lasso is deterministic.  brute_force is an
-independent refutation oracle: it enumerates whole assignment boxes and
-evaluates on explicit truncations, with delta realized as a
-cumulative-conjunction scan rather than transducer memory.
+discovery order, so the returned lasso is deterministic.  The transducer and
+the independent brute_force oracle walk one DAG of class-tagged nodes and
+share one table of Boolean connectives, _BOOL, each on its own carrier (a
+bit, a numpy lane of truncations).  The oracle enumerates whole assignment
+boxes and realizes delta by its own cumulative-conjunction scan, not by
+transducer memory; cross_check holds a decider verdict against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -50,7 +53,6 @@ from .formulas import (
     constant_fold,
     desugar,
     free_vars,
-    modal_depth,
 )
 from .semantics import UnboundVariableError, holds_equation
 
@@ -100,8 +102,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class _Dag:
-    # ops: ("var", vi) ("lit", Element) ("not", a) ("and", a, b) ("or", a, b)
-    #      ("imp", a, b) ("delta", a, state_bit); children precede parents
+    # nodes tagged by formula class: (Var, vi) (ElementLit, Element) (Not, a)
+    # (And|Or|Implies, a, b) (Delta, a, state_bit); children precede parents
     nodes: tuple[tuple, ...]
     roots: tuple[int, ...]
     variables: tuple[str, ...]
@@ -118,44 +120,47 @@ def _flatten(roots: Sequence[Formula]) -> _Dag:
     nodes: list[tuple] = []
     state = 0
 
-    def intern(key: tuple, op: tuple) -> int:
-        got = index.get(key)
-        if got is None:
-            nodes.append(op)
-            got = index[key] = len(nodes) - 1
-        return got
-
     def build(f: Formula) -> int:
         nonlocal state
-        if isinstance(f, Var):
-            return intern(("var", f.name), ("var", var_index[f.name]))
-        if isinstance(f, ElementLit):
-            return intern(("lit", f.element), ("lit", f.element))
-        if isinstance(f, Not):
-            a = build(f.arg)
-            return intern(("not", a), ("not", a))
-        if isinstance(f, Delta):
-            a = build(f.arg)
-            key = ("delta", a)
-            if key not in index:
-                nodes.append(("delta", a, state))
-                index[key] = len(nodes) - 1
+        cls = type(f)
+        if cls is Var:
+            key = (Var, var_index[f.name])
+        elif cls is ElementLit:
+            key = (ElementLit, f.element)
+        elif cls is Not or cls is Delta:
+            key = (cls, build(f.arg))
+        elif cls is And or cls is Or or cls is Implies:
+            key = (cls, build(f.lhs), build(f.rhs))
+        else:
+            raise TypeError(f"unexpected node after desugar and fold: {f!r}")
+        got = index.get(key)
+        if got is None:
+            got = index[key] = len(nodes)
+            if cls is Delta:
+                key += (state,)
                 state += 1
-            return index[key]
-        if isinstance(f, And):
-            a, b = build(f.lhs), build(f.rhs)
-            return intern(("and", a, b), ("and", a, b))
-        if isinstance(f, Or):
-            a, b = build(f.lhs), build(f.rhs)
-            return intern(("or", a, b), ("or", a, b))
-        if isinstance(f, Implies):
-            a, b = build(f.lhs), build(f.rhs)
-            return intern(("imp", a, b), ("imp", a, b))
-        raise TypeError(f"unexpected node after desugar and fold: {f!r}")
+            nodes.append(key)
+        return got
 
     root_ids = tuple(build(r) for r in normalized)
-    cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] == "lit"), default=0)
+    cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
     return _Dag(tuple(nodes), root_ids, tuple(names), state, cap)
+
+
+# Boolean semantics of the core connectives on bit vectors whose all-ones
+# value is top: the width mask or 1 for the coordinates or the tail of an
+# oracle lane.  _BIT tabulates it on single bits (top 1) for the transducer,
+# indexed by a for Not and by 2a + b otherwise, so a step makes no call.
+_BOOL = {
+    Not: lambda top, a: top ^ a,
+    And: lambda top, a, b: a & b,
+    Or: lambda top, a, b: a | b,
+    Implies: lambda top, a, b: (top ^ a) | b,
+}
+_BIT = {
+    cls: tuple(fn(1, *bits) for bits in product((0, 1), repeat=1 if cls is Not else 2))
+    for cls, fn in _BOOL.items()
+}
 
 
 class Transducer:
@@ -167,7 +172,6 @@ class Transducer:
         self.state_width = dag.state_width
         self.initial_state = (1 << dag.state_width) - 1
         self.position_cap = dag.position_cap
-        self.root_count = len(dag.roots)
 
     def next_position(self, position: int) -> int:
         return min(position + 1, self.position_cap)
@@ -183,25 +187,21 @@ class Transducer:
         new_state = state
         for i, op in enumerate(nodes):
             kind = op[0]
-            if kind == "var":
-                out[i] = letter[op[1]]
-            elif kind == "lit":
-                e = op[1]
-                out[i] = e.prefix[position - 1] if position <= len(e.prefix) else e.tail
-            elif kind == "not":
-                out[i] = 1 - out[op[1]]
-            elif kind == "and":
-                out[i] = out[op[1]] & out[op[2]]
-            elif kind == "or":
-                out[i] = out[op[1]] | out[op[2]]
-            elif kind == "imp":
-                out[i] = (1 - out[op[1]]) | out[op[2]]
-            else:
+            if kind is Delta:
                 bit = op[2]
                 cur = (state >> bit) & 1
                 out[i] = cur
                 if cur and not out[op[1]]:
                     new_state &= ~(1 << bit)
+            elif kind is Var:
+                out[i] = letter[op[1]]
+            elif kind is ElementLit:
+                e = op[1]
+                out[i] = e.prefix[position - 1] if position <= len(e.prefix) else e.tail
+            elif kind is Not:
+                out[i] = _BIT[Not][out[op[1]]]
+            else:
+                out[i] = _BIT[kind][out[op[1]] << 1 | out[op[2]]]
         return tuple(out[r] for r in self._dag.roots), new_state
 
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
@@ -266,6 +266,7 @@ def decide(query: QuasiQuery) -> Verdict:
     # Phase 2: SAFE configurations and everything that reaches one.
     max_iter = t.position_cap + t.state_width + 2
 
+    @cache
     def safe_letter(cfg: _Config) -> Letter | None:
         for letter in letters:
             cur = cfg
@@ -282,14 +283,7 @@ def decide(query: QuasiQuery) -> Verdict:
                 raise AssertionError("no fixpoint within the monotone stabilization bound")
         return None
 
-    safe_cache: dict[_Config, Letter | None] = {}
-
-    def get_safe(cfg: _Config) -> Letter | None:
-        if cfg not in safe_cache:
-            safe_cache[cfg] = safe_letter(cfg)
-        return safe_cache[cfg]
-
-    good: set[_Config] = {c for c in order if get_safe(c) is not None}
+    good: set[_Config] = {c for c in order if safe_letter(c) is not None}
     radj: dict[_Config, list[_Config]] = {}
     for (cfg, _letter), (succ, _v) in edges.items():
         radj.setdefault(succ, []).append(cfg)
@@ -309,22 +303,23 @@ def decide(query: QuasiQuery) -> Verdict:
                 continue
             succ, viol = edge
             if viol and succ in good:
-                return Verdict(False, _build_lasso(t, parent, edges, letters, get_safe, cfg, letter, succ))
+                return Verdict(False, _build_lasso(t, parent, edges, letters, safe_letter, cfg, letter, succ))
     return Verdict(True)
 
 
-def _build_lasso(t, parent, edges, letters, get_safe, cfg, letter, succ) -> Lasso:
-    def path_to(c: _Config) -> list[Letter]:
-        back: list[Letter] = []
-        while parent[c] is not None:
-            pc, pl = parent[c]
-            back.append(pl)
-            c = pc
-        back.reverse()
-        return back
+def _walk_back(parent: dict, c: _Config) -> list[Letter]:
+    """Letters along the parent links from the search root to c."""
+    back: list[Letter] = []
+    while parent[c] is not None:
+        c, letter = parent[c]
+        back.append(letter)
+    back.reverse()
+    return back
 
+
+def _build_lasso(t, parent, edges, letters, safe_letter, cfg, letter, succ) -> Lasso:
     def path_to_safe(c: _Config) -> tuple[list[Letter], _Config]:
-        if get_safe(c) is not None:
+        if safe_letter(c) is not None:
             return [], c
         par: dict[_Config, tuple[_Config, Letter] | None] = {c: None}
         queue = [c]
@@ -340,21 +335,14 @@ def _build_lasso(t, parent, edges, letters, get_safe, cfg, letter, succ) -> Lass
                 if s in par:
                     continue
                 par[s] = (cur, let)
-                if get_safe(s) is not None:
-                    back: list[Letter] = []
-                    node = s
-                    while par[node] is not None:
-                        pc, pl = par[node]
-                        back.append(pl)
-                        node = pc
-                    back.reverse()
-                    return back, s
+                if safe_letter(s) is not None:
+                    return _walk_back(par, s), s
                 queue.append(s)
         raise AssertionError("successor marked good but no safe path found")
 
-    pre = path_to(cfg)
+    pre = _walk_back(parent, cfg)
     tail_path, safe_cfg = path_to_safe(succ)
-    loop = get_safe(safe_cfg)
+    loop = safe_letter(safe_cfg)
     assert loop is not None
     return Lasso(
         variables=t.variables,
@@ -401,6 +389,10 @@ def replay(lasso: Lasso, query: QuasiQuery) -> bool:
 # === Independent brute-force oracle ===
 
 
+# Largest oracle grid in assignments x DAG nodes; a cell is two uint64 words.
+ORACLE_CELLS = 2**26
+
+
 def _encode(e: Element, width: int) -> int:
     mask = 0
     for j, b in enumerate(e.prefix):
@@ -432,18 +424,23 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
 
     Refutation is conclusive; None only rules out the searched box.  The
     enumeration order is elements_up_to(bound) per variable, earlier
-    variables (sorted by name) varying slowest.
+    variables (sorted by name) varying slowest.  A box whose assignments
+    times DAG nodes exceed ORACLE_CELLS is refused with ValueError.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     eqs = query.hypotheses + query.conclusions
     dag = _flatten([side for eq in eqs for side in (eq.lhs, eq.rhs)])
-    normalized_depth = max(
-        (modal_depth(constant_fold(desugar(side))) for eq in eqs for side in (eq.lhs, eq.rhs)),
-        default=0,
-    )
-    max_lit = max((len(op[1].prefix) for op in dag.nodes if op[0] == "lit"), default=0)
-    width = max(bound, max_lit) + normalized_depth + 2
+    chain: list[int] = []  # most Delta nodes on a path down from each node
+    for op in dag.nodes:
+        kind = op[0]
+        if kind is Var or kind is ElementLit:
+            chain.append(0)
+        elif kind is Delta:
+            chain.append(1 + chain[op[1]])
+        else:
+            chain.append(max(chain[j] for j in op[1:]))
+    width = max(bound, dag.position_cap - 1) + max(chain, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
     full = np.uint64((1 << width) - 1)
@@ -451,42 +448,31 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     elements = elements_up_to(bound)
     n = len(elements)
     k = len(dag.variables)
-    if k:
-        total = n**k
-        mask_tab = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
-        tail_tab = np.array([e.tail for e in elements], dtype=np.uint64)
-        grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-        var_vals = [(mask_tab[g.ravel()], tail_tab[g.ravel()]) for g in grids]
-    else:
-        total = 1
-        var_vals = []
+    total = n**k
+    if total * len(dag.nodes) > ORACLE_CELLS:
+        raise ValueError(
+            f"oracle box of {total} assignments x {len(dag.nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
+        )
+    mask_tab = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
+    tail_tab = np.array([e.tail for e in elements], dtype=np.uint64)
+    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
+    var_vals = [(mask_tab[g.ravel()], tail_tab[g.ravel()]) for g in grids]
 
     one = np.uint64(1)
     vals: list[tuple] = []
     for op in dag.nodes:
         kind = op[0]
-        if kind == "var":
+        if kind is Var:
             vals.append(var_vals[op[1]])
-        elif kind == "lit":
+        elif kind is ElementLit:
             vals.append((np.uint64(_encode(op[1], width)), np.uint64(op[1].tail)))
-        elif kind == "not":
-            m, t = vals[op[1]]
-            vals.append(((~m) & full, t ^ one))
-        elif kind == "and":
-            m1, t1 = vals[op[1]]
-            m2, t2 = vals[op[2]]
-            vals.append((m1 & m2, t1 & t2))
-        elif kind == "or":
-            m1, t1 = vals[op[1]]
-            m2, t2 = vals[op[2]]
-            vals.append((m1 | m2, t1 | t2))
-        elif kind == "imp":
-            m1, t1 = vals[op[1]]
-            m2, t2 = vals[op[2]]
-            vals.append((((~m1) & full) | m2, (t1 ^ one) | t2))
-        else:
+        elif kind is Delta:
             m, t = vals[op[1]]
             vals.append(_delta_scan(m, t, width, full))
+        else:
+            fn = _BOOL[kind]
+            args = [vals[j] for j in op[1:]]
+            vals.append((fn(full, *(m for m, _ in args)), fn(one, *(t for _, t in args))))
 
     def eq_bits(i: int):
         m1, t1 = vals[dag.roots[2 * i]]
@@ -507,3 +493,18 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         return None
     coords = np.unravel_index(int(hits[0]), (n,) * k) if k else ()
     return {v: elements[int(c)] for v, c in zip(dag.variables, coords)}
+
+
+def cross_check(query: QuasiQuery, verdict: Verdict, bound: int) -> tuple[dict[str, Element] | None, str | None]:
+    """The oracle's first hit for query, and why it disagrees with verdict.
+
+    Either may be None.  A decider counterexample must be rediscovered only
+    when it lies inside the oracle's box.
+    """
+    found = brute_force(query, bound)
+    if verdict.valid and found is not None:
+        return found, "decider said Valid but the oracle found a counterexample"
+    if verdict.lasso is not None and found is None:
+        if all(len(e.prefix) <= bound for e in lasso_assignment(verdict.lasso).values()):
+            return found, "decider counterexample fits the oracle box but the oracle found none"
+    return found, None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Element, neg_delta_power
-from .decide import Equation, Lasso, QuasiQuery, Verdict, brute_force, decide, lasso_assignment, replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, replay
 from .formulas import (
     And,
     Const,
@@ -256,17 +256,12 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
 
     a = class_constant(i)
     c = off_class_constant(i, f)
-    fn = negation_definer(i, f)
-    fd = delta_definer(i, f)
-    c_term = _closed_plug(i, f)
-    wn = ParametricWitness(Not(Var("p")), "q", (Equation(fn, c_term),))
-    wd = ParametricWitness(Delta(Var("p")), "q", (Equation(fd, c_term),))
-    verdicts: dict[str, Verdict] = {}
+    wn = negation_witness(i, f)
+    wd = delta_witness(i, f)
     queries: dict[str, QuasiQuery] = {}
     queries["negation_forward"], queries["negation_backward"] = witness_queries(wn)
     queries["delta_forward"], queries["delta_backward"] = witness_queries(wd)
-    for name, q in queries.items():
-        verdicts[name] = decide(q)
+    verdicts = {name: decide(q) for name, q in queries.items()}
 
     lassos = []
     for name, v in verdicts.items():
@@ -275,23 +270,12 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
                 raise AssertionError(f"counterexample for {name} failed replay")
             lassos.append(v.lasso)
 
-    oracle_agreed: bool | None = None
-    if oracle_bound is not None:
-        oracle_agreed = True
-        for name, q in queries.items():
-            found = brute_force(q, oracle_bound)
-            v = verdicts[name]
-            if v.valid:
-                if found is not None:
-                    oracle_agreed = False
-            else:
-                # the oracle must rediscover any counterexample lying in its box
-                fits = all(len(e.prefix) <= oracle_bound for e in lasso_assignment(v.lasso).values())
-                if fits and found is None:
-                    oracle_agreed = False
+    oracle_agreed = None if oracle_bound is None else all(
+        cross_check(q, verdicts[name], oracle_bound)[1] is None for name, q in queries.items()
+    )
 
-    in_n = preserves(i, fn)
-    in_d = preserves(i, fd)
+    in_n = preserves(i, wn.pairs[0].lhs)
+    in_d = preserves(i, wd.pairs[0].lhs)
     passed = (
         c != a
         and in_n

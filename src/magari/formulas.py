@@ -103,6 +103,27 @@ class NamedFormula:
     formula: Formula
 
 
+# === Syntax ===
+
+# Precedence levels; a child is parenthesized when its level is below the
+# minimum its position requires under the grammar above.
+_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3, 4, 5
+
+# operator class -> (symbol, own level, minimum level of each operand)
+_SYNTAX: dict[type, tuple[str, int, tuple[int, ...]]] = {
+    Not: ("!", _LEVEL_UNARY, (_LEVEL_UNARY,)),
+    Delta: ("D", _LEVEL_UNARY, (_LEVEL_UNARY,)),
+    Box: ("#", _LEVEL_UNARY, (_LEVEL_UNARY,)),
+    Nabla: ("@", _LEVEL_UNARY, (_LEVEL_UNARY,)),
+    And: ("&", _LEVEL_AND, (_LEVEL_AND, _LEVEL_UNARY)),
+    Or: ("|", _LEVEL_OR, (_LEVEL_OR, _LEVEL_AND)),
+    Implies: ("->", _LEVEL_IMP, (_LEVEL_OR, _LEVEL_IMP)),
+    Iff: ("<->", _LEVEL_IFF, (_LEVEL_IFF, _LEVEL_IMP)),
+}
+_PREFIX = {sym: cls for cls, (sym, _, ops) in _SYNTAX.items() if len(ops) == 1}
+_INFIX = {sym: (cls, level, ops[1]) for cls, (sym, level, ops) in _SYNTAX.items() if len(ops) == 2}
+
+
 # === Parsing ===
 
 
@@ -189,45 +210,24 @@ class _Parser:
         return self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.infix(_LEVEL_IFF)
         if self.pos < len(self.tokens):
             raise ParseError(f"unexpected trailing token {self.peek()!r}", self.here())
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "<->":
-            self.take()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def infix(self, level: int) -> Formula:
+        """A formula whose infix operators all bind at least as tightly as level."""
         f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.unary())
+        while self.peek() in _INFIX and _INFIX[self.peek()][1] >= level:
+            cls, _, rhs_level = _INFIX[self.take()[0]]
+            f = cls(f, self.infix(rhs_level))
         return f
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok in ("!", "D", "#", "@"):
+        if tok in _PREFIX:
             self.take()
-            arg = self.unary()
-            return {"!": Not, "D": Delta, "#": Box, "@": Nabla}[tok](arg)
+            return _PREFIX[tok](self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
@@ -239,7 +239,7 @@ class _Parser:
         if tok.startswith("ident:"):
             return Var(tok[6:])
         if tok == "(":
-            f = self.iff()
+            f = self.infix(_LEVEL_IFF)
             nxt, nat = self.take() if self.pos < len(self.tokens) else (None, len(self.text))
             if nxt != ")":
                 raise ParseError("expected ')'", nat if isinstance(nat, int) else len(self.text))
@@ -253,24 +253,6 @@ def parse(text: str) -> Formula:
 
 # === Printing ===
 
-# Precedence levels; a child is parenthesized when its level is below the
-# minimum its position requires under the grammar above.
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    if isinstance(f, Implies):
-        return _LEVEL_IMP
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, _UNARY):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
 
 def format_formula(f: Formula) -> str:
     """Minimal-parentheses text; parse(format_formula(f)) is structurally f.
@@ -281,31 +263,21 @@ def format_formula(f: Formula) -> str:
 
 
 def _fmt(f: Formula, minlevel: int) -> str:
-    if isinstance(f, Var):
-        s = f.name
-    elif isinstance(f, Const):
-        s = str(f.value)
-    elif isinstance(f, ElementLit):
-        s = "[" + format_element(f.element) + "]"
-    elif isinstance(f, Not):
-        s = "!" + _fmt(f.arg, _LEVEL_UNARY)
-    elif isinstance(f, Delta):
-        s = "D" + _fmt(f.arg, _LEVEL_UNARY)
-    elif isinstance(f, Box):
-        s = "#" + _fmt(f.arg, _LEVEL_UNARY)
-    elif isinstance(f, Nabla):
-        s = "@" + _fmt(f.arg, _LEVEL_UNARY)
-    elif isinstance(f, And):
-        s = _fmt(f.lhs, _LEVEL_AND) + " & " + _fmt(f.rhs, _LEVEL_UNARY)
-    elif isinstance(f, Or):
-        s = _fmt(f.lhs, _LEVEL_OR) + " | " + _fmt(f.rhs, _LEVEL_AND)
-    elif isinstance(f, Implies):
-        s = _fmt(f.lhs, _LEVEL_OR) + " -> " + _fmt(f.rhs, _LEVEL_IMP)
-    elif isinstance(f, Iff):
-        s = _fmt(f.lhs, _LEVEL_IFF) + " <-> " + _fmt(f.rhs, _LEVEL_IMP)
-    else:
+    cls = type(f)
+    if cls is Var:
+        return f.name
+    if cls is Const:
+        return str(f.value)
+    if cls is ElementLit:
+        return "[" + format_element(f.element) + "]"
+    if cls not in _SYNTAX:
         raise TypeError(f"not a formula node: {f!r}")
-    return "(" + s + ")" if _level(f) < minlevel else s
+    symbol, level, operands = _SYNTAX[cls]
+    if len(operands) == 1:
+        s = symbol + _fmt(f.arg, operands[0])
+    else:
+        s = _fmt(f.lhs, operands[0]) + f" {symbol} " + _fmt(f.rhs, operands[1])
+    return "(" + s + ")" if level < minlevel else s
 
 
 # === Structural operations ===
@@ -367,24 +339,17 @@ def desugar(f: Formula) -> Formula:
     return type(f)(desugar(f.lhs), desugar(f.rhs))
 
 
-def _apply_op(f: Formula, args: list[Element]) -> Element:
-    if isinstance(f, Not):
-        return negate(args[0])
-    if isinstance(f, Delta):
-        return delta(args[0])
-    if isinstance(f, Box):
-        return box(args[0])
-    if isinstance(f, Nabla):
-        return nabla(args[0])
-    if isinstance(f, And):
-        return meet(args[0], args[1])
-    if isinstance(f, Or):
-        return join(args[0], args[1])
-    if isinstance(f, Implies):
-        return elt_implies(args[0], args[1])
-    if isinstance(f, Iff):
-        return meet(elt_implies(args[0], args[1]), elt_implies(args[1], args[0]))
-    raise TypeError(f"not an operator node: {f!r}")
+# The element semantics of every operator, shared by folding and evaluation.
+ELEMENT_OPS = {
+    Not: negate,
+    Delta: delta,
+    Box: box,
+    Nabla: nabla,
+    And: meet,
+    Or: join,
+    Implies: elt_implies,
+    Iff: lambda a, b: meet(elt_implies(a, b), elt_implies(b, a)),
+}
 
 
 def constant_fold(f: Formula) -> Formula:
@@ -393,36 +358,31 @@ def constant_fold(f: Formula) -> Formula:
     Open structure is otherwise untouched; folding a closed formula yields a
     single ElementLit.
     """
-    if isinstance(f, Var):
+    if isinstance(f, (Var, ElementLit)):
         return f
     if isinstance(f, Const):
         return ElementLit(ONE if f.value else ZERO)
-    if isinstance(f, ElementLit):
-        return f
     if isinstance(f, _UNARY):
         child = constant_fold(f.arg)
         if isinstance(child, ElementLit):
-            return ElementLit(_apply_op(f, [child.element]))
+            return ElementLit(ELEMENT_OPS[type(f)](child.element))
         return type(f)(child)
     l, r = constant_fold(f.lhs), constant_fold(f.rhs)
     if isinstance(l, ElementLit) and isinstance(r, ElementLit):
-        return ElementLit(_apply_op(f, [l.element, r.element]))
+        return ElementLit(ELEMENT_OPS[type(f)](l.element, r.element))
     return type(f)(l, r)
+
+
+_MODAL_WEIGHT = {Delta: 1, Box: 1, Nabla: 3}
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of the diagonal operator, counting Box as 1 and Nabla as 3."""
-    if isinstance(f, (Var, Const, ElementLit)):
-        return 0
-    if isinstance(f, Delta):
-        return 1 + modal_depth(f.arg)
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.arg)
-    if isinstance(f, Nabla):
-        return 3 + modal_depth(f.arg)
-    if isinstance(f, Not):
-        return modal_depth(f.arg)
-    return max(modal_depth(f.lhs), modal_depth(f.rhs))
+    if isinstance(f, _UNARY):
+        return _MODAL_WEIGHT.get(type(f), 0) + modal_depth(f.arg)
+    if isinstance(f, _BINARY):
+        return max(modal_depth(f.lhs), modal_depth(f.rhs))
+    return 0
 
 
 def delta_nodes(f: Formula) -> int:

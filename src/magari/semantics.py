@@ -4,21 +4,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import Element, ONE, ZERO, box, delta, implies, join, meet, nabla, negate
-from .formulas import (
-    And,
-    Box,
-    Const,
-    Delta,
-    ElementLit,
-    Formula,
-    Iff,
-    Implies,
-    Nabla,
-    Not,
-    Or,
-    Var,
-)
+from .algebra import Element, ONE, ZERO
+from .formulas import _UNARY, ELEMENT_OPS, Const, ElementLit, Formula, Var
 
 Assignment = Mapping[str, Element]
 
@@ -30,34 +17,22 @@ class UnboundVariableError(Exception):
 
 
 def evaluate(f: Formula, assignment: Assignment) -> Element:
-    if isinstance(f, Var):
+    cls = type(f)
+    if cls is Var:
         try:
             return assignment[f.name]
         except KeyError:
             raise UnboundVariableError(f.name) from None
-    if isinstance(f, Const):
+    if cls is Const:
         return ONE if f.value else ZERO
-    if isinstance(f, ElementLit):
+    if cls is ElementLit:
         return f.element
-    if isinstance(f, Not):
-        return negate(evaluate(f.arg, assignment))
-    if isinstance(f, Delta):
-        return delta(evaluate(f.arg, assignment))
-    if isinstance(f, Box):
-        return box(evaluate(f.arg, assignment))
-    if isinstance(f, Nabla):
-        return nabla(evaluate(f.arg, assignment))
-    if isinstance(f, And):
-        return meet(evaluate(f.lhs, assignment), evaluate(f.rhs, assignment))
-    if isinstance(f, Or):
-        return join(evaluate(f.lhs, assignment), evaluate(f.rhs, assignment))
-    if isinstance(f, Implies):
-        return implies(evaluate(f.lhs, assignment), evaluate(f.rhs, assignment))
-    if isinstance(f, Iff):
-        a = evaluate(f.lhs, assignment)
-        b = evaluate(f.rhs, assignment)
-        return meet(implies(a, b), implies(b, a))
-    raise TypeError(f"not a formula node: {f!r}")
+    op = ELEMENT_OPS.get(cls)
+    if op is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    if cls in _UNARY:
+        return op(evaluate(f.arg, assignment))
+    return op(evaluate(f.lhs, assignment), evaluate(f.rhs, assignment))
 
 
 def evaluate_closed(f: Formula) -> Element:

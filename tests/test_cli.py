@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+import magari.cli
+from magari import Verdict
 from magari.cli import main
 
 
@@ -236,3 +240,32 @@ def test_counterexample_assignment_text_reparses(capsys):
     data = json.loads(out)
     for text in data["counterexample"]["assignment"].values():
         parse_element(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "!" * 1500 + "p", "--assign", "p=(0)"),
+        ("check", "--concl", "!" * 1500 + "p = p"),
+        ("eval", "(" * 1200 + "p" + ")" * 1200, "--assign", "p=(0)"),
+    ],
+    ids=["eval-negations", "check-negations", "eval-parentheses"],
+)
+def test_deep_nesting_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: formula nested too deeply"
+
+
+def test_check_oracle_box_over_budget_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "check", "--concl", "p & q = q & r", "--oracle-bound", "8")
+    assert code == 2
+    assert "error:" in err and "budget" in err
+
+
+def test_check_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(magari.cli, "decide", lambda query: Verdict(True))
+    code, _, err = run(capsys, "check", "--concl", "Dp = p", "--oracle-bound", "3")
+    assert code == 3
+    assert "internal consistency violation: decider said Valid but the oracle found a counterexample" in err

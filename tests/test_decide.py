@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,15 +11,19 @@ from magari import (
     Equation,
     Lasso,
     QuasiQuery,
+    Verdict,
     brute_force,
     compile_roots,
     coordinate,
+    cross_check,
     decide,
     evaluate,
     lasso_assignment,
+    neg_delta_power_term,
     parse,
     parse_element,
     replay,
+    verify_precompleteness,
 )
 from helpers import random_element, random_formula, random_query
 
@@ -209,3 +215,52 @@ def test_decide_matches_brute_force_random():
             a = lasso_assignment(v.lasso)
             if all(len(e.prefix) <= 4 for e in a.values()):
                 assert found is not None
+
+
+def test_brute_force_refuses_box_over_cell_budget():
+    # 512 elements per variable at bound 8: 2**27 assignments, refused before any array is built
+    with pytest.raises(ValueError, match="budget"):
+        brute_force(query([("p & q", "q & r")]), 8)
+
+
+def test_cross_check_valid_verdict_against_oracle_hit():
+    found, reason = cross_check(query([("Dp", "p")]), Verdict(True), 1)
+    assert found == {"p": ZERO}
+    assert reason == "decider said Valid but the oracle found a counterexample"
+
+
+def test_cross_check_fitting_lasso_the_oracle_cannot_find():
+    loeb = query([("D(Dp -> p)", "Dp")])
+    fitting = Lasso(("p",), ((0,),), (0,), 1)  # p = (0), inside every box
+    found, reason = cross_check(loeb, Verdict(False, fitting), 3)
+    assert found is None
+    assert reason == "decider counterexample fits the oracle box but the oracle found none"
+
+
+def test_cross_check_agreement():
+    for q in (query([("Dp", "p")]), query([("D(Dp -> p)", "Dp")])):
+        v = decide(q)
+        found, reason = cross_check(q, v, 3)
+        assert reason is None
+        assert (found is None) == v.valid
+
+
+def _verdict_key(v):
+    if v.lasso is None:
+        return [v.valid]
+    l = v.lasso
+    return [v.valid, list(l.variables), [list(x) for x in l.prefix], list(l.loop_letter), l.violation_step]
+
+
+def test_verdicts_and_lassos_are_byte_identical_to_the_reference():
+    # Locks the decider's determinism contract: verdicts and lassos of the
+    # criterion-3 style query set and of the precompleteness grid.
+    rng = random.Random(1003)
+    rows = [_verdict_key(decide(random_query(rng))) for _ in range(500)]
+    for i in range(1, 6):
+        for w in (parse("!p"), parse("Dp"), neg_delta_power_term(i + 1)):
+            r = verify_precompleteness(i, w)
+            parts = (r.negation_forward, r.negation_backward, r.delta_forward, r.delta_backward)
+            rows.append([r.passed] + [_verdict_key(v) for v in parts])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "eadf2bce26e8d71200e4e6eb8c6ed6166cd127942de29fbce5d927793786c18e"

@@ -94,3 +94,9 @@ def test_evaluate_is_coordinatewise_boolean_plus_delta():
             p_k, q_k = coordinate(a["p"], k), coordinate(a["q"], k)
             expect = (((1 - p_k) | q_k) & (1 - p_k)) | coordinate(dq, k)
             assert coordinate(out, k) == expect
+
+
+def test_evaluate_rejects_non_formulas():
+    for bogus in ("p", None, ONE, (parse("p"),)):
+        with pytest.raises(TypeError):
+            evaluate(bogus, {"p": ONE})
