@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import __version__
 from .algebra import Element, format_element, parse_element
-from .decide import Equation, Lasso, QuasiQuery, cross_check, decide, replay
+from .decide import Equation, Lasso, QuasiQuery, cross_check, decide, require_replay
 from .expressibility import (
     PrecompletenessReport,
     enumerate_closure,
@@ -35,7 +35,7 @@ _BOUND_FROM_ENV = -1  # sentinel for "--oracle-bound with no value"
 
 
 class InternalCheckError(Exception):
-    """Decider, oracle and replay disagreed; a bug, not a user error."""
+    """Decider versus oracle or a synthesized term disagreed; a bug, not a user error."""
 
 
 def _env_oracle_bound() -> int:
@@ -156,9 +156,8 @@ def _cmd_check(args) -> int:
         "conclusions": [f"{format_formula(e.lhs)} = {format_formula(e.rhs)}" for e in concls],
         "verdict": "Valid" if verdict.valid else "Counterexample",
     }
+    require_replay(query, verdict)
     if verdict.lasso is not None:
-        if not replay(verdict.lasso, query):
-            raise InternalCheckError("counterexample lasso failed exact replay")
         report["counterexample"] = _lasso_dict(verdict.lasso)
 
     bound = _resolve_bound(args.oracle_bound)
@@ -276,8 +275,9 @@ def _cmd_verify_paper(args) -> int:
             neg_delta_power_term(i + 1),
         ]
         for w in witnesses:
+            cell_started = time.perf_counter()
             rep = verify_precompleteness(i, w, oracle_bound=bound)
-            cells.append(_report_dict(rep))
+            cells.append(_report_dict(rep) | {"duration_s": round(time.perf_counter() - cell_started, 6)})
             all_passed = all_passed and rep.passed
 
     separations = None

@@ -26,9 +26,13 @@ Letters are explored lexicographically smallest first and configurations in
 discovery order, so the returned lasso is deterministic.  The transducer and
 the independent brute_force oracle walk one DAG of class-tagged nodes and
 share one table of Boolean connectives, _BOOL, each on its own carrier (a
-bit, a numpy lane of truncations).  The oracle enumerates whole assignment
-boxes and realizes delta by its own cumulative-conjunction scan, not by
-transducer memory; cross_check holds a decider verdict against it.
+bit, a numpy lane of truncations).  The oracle gives each variable its own
+axis of the assignment box, so a node's arrays span only the variables it
+depends on; it walks the box in doubling slabs of the first variable's axis
+and stops at the first slab holding a hit.  It realizes delta by its own
+cumulative-conjunction scan, not by transducer memory; cross_check holds a
+decider verdict against it and require_replay holds a lasso against exact
+evaluation.
 """
 
 from __future__ import annotations
@@ -391,6 +395,8 @@ def replay(lasso: Lasso, query: QuasiQuery) -> bool:
 
 # Largest oracle grid in assignments x DAG nodes; a cell is two uint64 words.
 ORACLE_CELLS = 2**26
+# Assignments covered by the oracle's first slab, at least one first-axis index.
+_SLAB_LANES = 4096
 
 
 def _encode(e: Element, width: int) -> int:
@@ -426,20 +432,31 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     enumeration order is elements_up_to(bound) per variable, earlier
     variables (sorted by name) varying slowest.  A box whose assignments
     times DAG nodes exceed ORACLE_CELLS is refused with ValueError.
+
+    The box is never built whole: variable i owns axis i of a k-dimensional
+    grid, so each node's arrays broadcast to the shape of the variables it
+    depends on.  Nodes free of the first variable are evaluated once, the
+    rest over slabs of the first axis, the first covering at least
+    _SLAB_LANES assignments and each later one twice the one before.  Slabs
+    run in enumeration order and the first slab with a hit returns it.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     eqs = query.hypotheses + query.conclusions
     dag = _flatten([side for eq in eqs for side in (eq.lhs, eq.rhs)])
     chain: list[int] = []  # most Delta nodes on a path down from each node
+    on_first: list[bool] = []  # whether each node depends on the first variable
     for op in dag.nodes:
         kind = op[0]
         if kind is Var or kind is ElementLit:
             chain.append(0)
+            on_first.append(kind is Var and op[1] == 0)
         elif kind is Delta:
             chain.append(1 + chain[op[1]])
+            on_first.append(on_first[op[1]])
         else:
             chain.append(max(chain[j] for j in op[1:]))
+            on_first.append(any(on_first[j] for j in op[1:]))
     width = max(bound, dag.position_cap - 1) + max(chain, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
@@ -455,24 +472,29 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         )
     mask_tab = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
     tail_tab = np.array([e.tail for e in elements], dtype=np.uint64)
-    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-    var_vals = [(mask_tab[g.ravel()], tail_tab[g.ravel()]) for g in grids]
+    var_vals = []
+    for i in range(k):
+        axis = (1,) * i + (n,) + (1,) * (k - 1 - i)
+        var_vals.append((mask_tab.reshape(axis), tail_tab.reshape(axis)))
 
     one = np.uint64(1)
-    vals: list[tuple] = []
-    for op in dag.nodes:
-        kind = op[0]
-        if kind is Var:
-            vals.append(var_vals[op[1]])
-        elif kind is ElementLit:
-            vals.append((np.uint64(_encode(op[1], width)), np.uint64(op[1].tail)))
-        elif kind is Delta:
-            m, t = vals[op[1]]
-            vals.append(_delta_scan(m, t, width, full))
-        else:
-            fn = _BOOL[kind]
-            args = [vals[j] for j in op[1:]]
-            vals.append((fn(full, *(m for m, _ in args)), fn(one, *(t for _, t in args))))
+    vals: list = [None] * len(dag.nodes)
+
+    def evaluate(ids: list[int]) -> None:
+        for i in ids:
+            op = dag.nodes[i]
+            kind = op[0]
+            if kind is Var:
+                vals[i] = var_vals[op[1]]
+            elif kind is ElementLit:
+                vals[i] = (np.uint64(_encode(op[1], width)), np.uint64(op[1].tail))
+            elif kind is Delta:
+                m, t = vals[op[1]]
+                vals[i] = _delta_scan(m, t, width, full)
+            else:
+                fn = _BOOL[kind]
+                args = [vals[j] for j in op[1:]]
+                vals[i] = (fn(full, *(m for m, _ in args)), fn(one, *(t for _, t in args)))
 
     def eq_bits(i: int):
         m1, t1 = vals[dag.roots[2 * i]]
@@ -480,19 +502,37 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         return (m1 == m2) & (t1 == t2)
 
     nh = len(query.hypotheses)
-    hyp_all = np.bool_(True)
-    for i in range(nh):
-        hyp_all = hyp_all & eq_bits(i)
-    viol = np.bool_(False)
-    for j in range(nh, nh + len(query.conclusions)):
-        viol = viol | ~eq_bits(j)
 
-    bad = np.broadcast_to(hyp_all & viol, (total,))
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
-        return None
-    coords = np.unravel_index(int(hits[0]), (n,) * k) if k else ()
-    return {v: elements[int(c)] for v, c in zip(dag.variables, coords)}
+    def first_hit(shape: tuple[int, ...]) -> tuple[int, ...] | None:
+        hyp_all = np.bool_(True)
+        for i in range(nh):
+            hyp_all = hyp_all & eq_bits(i)
+        viol = np.bool_(False)
+        for j in range(nh, nh + len(query.conclusions)):
+            viol = viol | ~eq_bits(j)
+        hits = np.flatnonzero(np.broadcast_to(hyp_all & viol, shape))
+        return np.unravel_index(int(hits[0]), shape) if hits.size else None
+
+    evaluate([i for i, dep in enumerate(on_first) if not dep])
+    if k == 0:
+        return {} if first_hit(()) is not None else None
+    moving = [i for i, dep in enumerate(on_first) if dep]
+    first_m, first_t = var_vals[0]
+    rows = -(-_SLAB_LANES // n ** (k - 1))
+    start = 0
+    while start < n:
+        stop = min(n, start + rows)
+        var_vals[0] = (first_m[start:stop], first_t[start:stop])
+        for i in moving:  # free the previous slab before building this one
+            vals[i] = None
+        evaluate(moving)
+        coords = first_hit((stop - start,) + (n,) * (k - 1))
+        if coords is not None:
+            coords = (start + int(coords[0]),) + coords[1:]
+            return {v: elements[int(c)] for v, c in zip(dag.variables, coords)}
+        start = stop
+        rows *= 2
+    return None
 
 
 def cross_check(query: QuasiQuery, verdict: Verdict, bound: int) -> tuple[dict[str, Element] | None, str | None]:
@@ -508,3 +548,9 @@ def cross_check(query: QuasiQuery, verdict: Verdict, bound: int) -> tuple[dict[s
         if all(len(e.prefix) <= bound for e in lasso_assignment(verdict.lasso).values()):
             return found, "decider counterexample fits the oracle box but the oracle found none"
     return found, None
+
+
+def require_replay(query: QuasiQuery, verdict: Verdict) -> None:
+    """Raise AssertionError when verdict carries a lasso that fails replay on query."""
+    if verdict.lasso is not None and not replay(verdict.lasso, query):
+        raise AssertionError("counterexample lasso failed exact replay")

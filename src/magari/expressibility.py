@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Element, neg_delta_power
-from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, require_replay
 from .formulas import (
     And,
     Const,
@@ -263,12 +263,9 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
     queries["delta_forward"], queries["delta_backward"] = witness_queries(wd)
     verdicts = {name: decide(q) for name, q in queries.items()}
 
-    lassos = []
-    for name, v in verdicts.items():
-        if v.lasso is not None:
-            if not replay(v.lasso, queries[name]):
-                raise AssertionError(f"counterexample for {name} failed replay")
-            lassos.append(v.lasso)
+    for name, q in queries.items():
+        require_replay(q, verdicts[name])
+    lassos = [v.lasso for v in verdicts.values() if v.lasso is not None]
 
     oracle_agreed = None if oracle_bound is None else all(
         cross_check(q, verdicts[name], oracle_bound)[1] is None for name, q in queries.items()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import magari.cli
-from magari import Verdict
+from magari import Lasso, Verdict
 from magari.cli import main
 
 
@@ -189,6 +189,16 @@ def test_verify_paper_json_with_oracle(capsys):
     assert data["separations"] is None
 
 
+def test_verify_paper_json_cells_report_duration(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--i-max", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    for cell in data["cells"]:
+        assert isinstance(cell["duration_s"], float) and cell["duration_s"] >= 0
+        assert {"class", "formula", "passed", "oracle_agreed", "counterexamples"} < cell.keys()
+    assert sum(c["duration_s"] for c in data["cells"]) <= data["duration_s"] + 1e-5  # rounding
+
+
 def test_verify_paper_explicit_witnesses(capsys):
     code, out, _ = run(capsys, "verify-paper", "--i-max", "1", "--witnesses", "!p,Dp", "--json")
     assert code == 0
@@ -269,3 +279,12 @@ def test_check_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--concl", "Dp = p", "--oracle-bound", "3")
     assert code == 3
     assert "internal consistency violation: decider said Valid but the oracle found a counterexample" in err
+
+
+def test_check_lasso_failing_replay_is_an_internal_error(capsys, monkeypatch):
+    # p = (1) gives Dp = p, so this lasso refutes nothing
+    monkeypatch.setattr(magari.cli, "decide", lambda query: Verdict(False, Lasso(("p",), (), (1,), 1)))
+    code, out, err = run(capsys, "check", "--concl", "Dp = p")
+    assert code == 3
+    assert out == ""
+    assert "internal consistency violation: counterexample lasso failed exact replay" in err

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import itertools
 import json
 import random
 
@@ -17,7 +19,10 @@ from magari import (
     coordinate,
     cross_check,
     decide,
+    elements_up_to,
     evaluate,
+    free_vars,
+    holds_equation,
     lasso_assignment,
     neg_delta_power_term,
     parse,
@@ -26,6 +31,8 @@ from magari import (
     verify_precompleteness,
 )
 from helpers import random_element, random_formula, random_query
+
+decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
 
 
 def eq(l: str, r: str) -> Equation:
@@ -221,6 +228,71 @@ def test_brute_force_refuses_box_over_cell_budget():
     # 512 elements per variable at bound 8: 2**27 assignments, refused before any array is built
     with pytest.raises(ValueError, match="budget"):
         brute_force(query([("p & q", "q & r")]), 8)
+
+
+def _query_vars(q: QuasiQuery) -> list[str]:
+    return sorted({v for e in q.hypotheses + q.conclusions for s in (e.lhs, e.rhs) for v in free_vars(s)})
+
+
+def _reference_first_hit(q: QuasiQuery, bound: int):
+    # the oracle's contract, one assignment at a time by exact evaluation
+    names = _query_vars(q)
+    for values in itertools.product(elements_up_to(bound), repeat=len(names)):
+        a = dict(zip(names, values))
+        if all(holds_equation(e.lhs, e.rhs, a) for e in q.hypotheses) and any(
+            not holds_equation(e.lhs, e.rhs, a) for e in q.conclusions
+        ):
+            return a
+    return None
+
+
+def _random_closed_query(rng: random.Random) -> QuasiQuery:
+    def side():
+        return random_formula(rng, [], rng.randint(1, 6))
+
+    hyps = tuple(Equation(side(), side()) for _ in range(rng.randint(0, 1)))
+    return QuasiQuery(hyps, (Equation(side(), side()),))
+
+
+@pytest.mark.parametrize("slab_lanes", [1, 4096])
+def test_brute_force_first_hit_matches_exact_reference(monkeypatch, slab_lanes):
+    # slab_lanes 1 makes the first slab a single first-axis index, so slab
+    # boundaries fall inside every box; 4096 covers each box in one slab
+    monkeypatch.setattr(decide_module, "_SLAB_LANES", slab_lanes)
+    rng = random.Random(2027)
+    used = set()
+    for i in range(200):
+        q = _random_closed_query(rng) if i % 10 == 0 else random_query(rng)
+        used.add(len(_query_vars(q)))
+        bound = 1 + i % 2
+        assert brute_force(q, bound) == _reference_first_hit(q, bound)
+    assert used == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("slab_lanes", [1, 4096])
+def test_brute_force_hit_only_in_last_first_axis_index(monkeypatch, slab_lanes):
+    monkeypatch.setattr(decide_module, "_SLAB_LANES", slab_lanes)
+    q = query([("q & r", "1")], hyps=[("p", "D0")])
+    last = elements_up_to(1)[-1]
+    assert last == parse_element("1(0)")
+    assert brute_force(q, 1) == {"p": last, "q": ZERO, "r": ZERO} == _reference_first_hit(q, 1)
+
+
+def test_brute_force_scans_every_delta_array(monkeypatch):
+    # D-nodes over p are scanned once per slab, the one over q once
+    monkeypatch.setattr(decide_module, "_SLAB_LANES", 1)
+    scanned = []
+    scan = decide_module._delta_scan
+
+    def spy(m, t, width, full):
+        scanned.append(m.size)
+        return scan(m, t, width, full)
+
+    monkeypatch.setattr(decide_module, "_delta_scan", spy)
+    assert brute_force(query([("D(Dp -> p) & Dq", "Dp & Dq")]), 1) is None
+    n = len(elements_up_to(1))  # slabs of 1, 2 and 1 first-axis indices
+    assert len(scanned) == 1 + 2 * 3
+    assert sum(scanned) == 3 * n
 
 
 def test_cross_check_valid_verdict_against_oracle_hit():

@@ -2,17 +2,20 @@ import random
 
 import pytest
 
+import magari.expressibility
 from magari import (
     And,
     Delta,
     Equation,
     Iff,
+    Lasso,
     Nabla,
     NamedFormula,
     Not,
     Or,
     ParametricWitness,
     Var,
+    Verdict,
     check_parametric_witness,
     class_constant,
     delta_definer,
@@ -188,6 +191,17 @@ def test_verify_precompleteness_passes():
 def test_verify_precompleteness_with_oracle():
     r = verify_precompleteness(3, parse("Dp"), oracle_bound=4)
     assert r.passed and r.oracle_agreed is True
+
+
+def test_verify_precompleteness_requires_lasso_replay(monkeypatch):
+    # every witness query is valid, so an all-zero lasso refutes none of them
+    def bogus(q):
+        names = tuple(sorted({v for e in q.hypotheses + q.conclusions for s in (e.lhs, e.rhs) for v in free_vars(s)}))
+        return Verdict(False, Lasso(names, (), (0,) * len(names), 1))
+
+    monkeypatch.setattr(magari.expressibility, "decide", bogus)
+    with pytest.raises(AssertionError, match="failed exact replay"):
+        verify_precompleteness(1, parse("!p"))
 
 
 def test_verify_precompleteness_rejects_members():
