@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from typing import Sequence
 
 from . import __version__
@@ -317,6 +318,7 @@ def _cmd_verify_paper(args) -> int:
 # === Entry points ===
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magari",

@@ -11,16 +11,19 @@ ultimately constant assignment satisfies every hypothesis equation at every
 coordinate while some conclusion equation differs somewhere.  Memory bits
 only ever decrease and literal streams are constant past their prefixes, so
 (memory bits, capped step index) ranges over a finite configuration space and
-the search below is exact on the intended carrier:
+the search below is exact on the intended carrier.  A configuration is SAFE
+when some single letter, repeated, keeps the hypotheses true through
+stabilization (reached within state-width plus position-cap steps, by
+monotonicity) and at the resulting fixpoint.  A counterexample is a
+hypothesis-true transition that violates some conclusion and whose successor
+reaches a SAFE configuration along hypothesis-true transitions.
 
-  1. breadth-first exploration of configurations along hypothesis-true
-     transitions from the all-ones start;
-  2. a configuration is SAFE when some single letter, repeated, keeps the
-     hypotheses true through stabilization (reached within state-width plus
-     position-cap steps, by monotonicity) and at the resulting fixpoint;
-  3. a counterexample is a hypothesis-true transition that violates some
-     conclusion and whose successor reaches a SAFE configuration along
-     hypothesis-true transitions.
+decide finds the first one on the fly: a breadth-first search from the
+all-ones start along hypothesis-true transitions, each computed once, that
+looks for a path to SAFE from the successor of each violating transition as
+it meets it and stops at the first that has one.  A failed look marks every
+configuration it visited as hopeless, so later looks skip them and the whole
+search stays linear in the transitions.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the returned lasso is deterministic.  The transducer and
@@ -241,33 +244,15 @@ def decide(query: QuasiQuery) -> Verdict:
     nc = len(query.conclusions)
     letters: list[Letter] = [tuple(bits) for bits in product((0, 1), repeat=len(t.variables))]
 
-    def outcome(outs: tuple[int, ...]) -> tuple[bool, bool]:
-        hyp_ok = all(outs[2 * i] == outs[2 * i + 1] for i in range(nh))
+    @cache
+    def edge(cfg: _Config, letter: Letter) -> tuple[_Config, bool] | None:
+        """Successor and whether a conclusion is violated, for a hypothesis-true step."""
+        outs, ns = t.step(cfg[0], cfg[1], letter)
+        if any(outs[2 * i] != outs[2 * i + 1] for i in range(nh)):
+            return None
         viol = any(outs[2 * j] != outs[2 * j + 1] for j in range(nh, nh + nc))
-        return hyp_ok, viol
+        return (ns, t.next_position(cfg[1])), viol
 
-    # Phase 1: hypothesis-true reachability.
-    start: _Config = (t.initial_state, 1)
-    order: list[_Config] = [start]
-    parent: dict[_Config, tuple[_Config, Letter] | None] = {start: None}
-    edges: dict[tuple[_Config, Letter], tuple[_Config, bool]] = {}
-    qi = 0
-    while qi < len(order):
-        cfg = order[qi]
-        qi += 1
-        state, pos = cfg
-        for letter in letters:
-            outs, ns = t.step(state, pos, letter)
-            hyp_ok, viol = outcome(outs)
-            if not hyp_ok:
-                continue
-            succ = (ns, t.next_position(pos))
-            edges[(cfg, letter)] = (succ, viol)
-            if succ not in parent:
-                parent[succ] = (cfg, letter)
-                order.append(succ)
-
-    # Phase 2: SAFE configurations and everything that reaches one.
     max_iter = t.position_cap + t.state_width + 2
 
     @cache
@@ -275,39 +260,74 @@ def decide(query: QuasiQuery) -> Verdict:
         for letter in letters:
             cur = cfg
             for _ in range(max_iter):
-                outs, ns = t.step(cur[0], cur[1], letter)
-                hyp_ok, _ = outcome(outs)
-                if not hyp_ok:
+                e = edge(cur, letter)
+                if e is None:
                     break
-                nxt = (ns, t.next_position(cur[1]))
-                if nxt == cur:
+                if e[0] == cur:
                     return letter
-                cur = nxt
+                cur = e[0]
             else:
                 raise AssertionError("no fixpoint within the monotone stabilization bound")
         return None
 
-    good: set[_Config] = {c for c in order if safe_letter(c) is not None}
-    radj: dict[_Config, list[_Config]] = {}
-    for (cfg, _letter), (succ, _v) in edges.items():
-        radj.setdefault(succ, []).append(cfg)
-    stack = list(good)
-    while stack:
-        c = stack.pop()
-        for p in radj.get(c, ()):
-            if p not in good:
-                good.add(p)
-                stack.append(p)
+    # Configurations known to reach no SAFE configuration; their successors
+    # can reach nothing they cannot, so a failed search marks all it visited.
+    hopeless: set[_Config] = set()
 
-    # Phase 3: first violating transition whose successor stays satisfiable.
-    for cfg in order:
+    def path_to_safe(c: _Config) -> tuple[list[Letter], _Config] | None:
+        if c in hopeless:
+            return None
+        if safe_letter(c) is not None:
+            return [], c
+        par: dict[_Config, tuple[_Config, Letter] | None] = {c: None}
+        queue = [c]
+        qi = 0
+        while qi < len(queue):
+            cur = queue[qi]
+            qi += 1
+            for let in letters:
+                e = edge(cur, let)
+                if e is None or e[0] in par or e[0] in hopeless:
+                    continue
+                s = e[0]
+                par[s] = (cur, let)
+                if safe_letter(s) is not None:
+                    return _walk_back(par, s), s
+                queue.append(s)
+        hopeless.update(par)
+        return None
+
+    # Breadth-first over hypothesis-true transitions from the all-ones start;
+    # the first violating one whose successor reaches SAFE is the answer.
+    start: _Config = (t.initial_state, 1)
+    order: list[_Config] = [start]
+    parent: dict[_Config, tuple[_Config, Letter] | None] = {start: None}
+    qi = 0
+    while qi < len(order):
+        cfg = order[qi]
+        qi += 1
         for letter in letters:
-            edge = edges.get((cfg, letter))
-            if edge is None:
+            e = edge(cfg, letter)
+            if e is None:
                 continue
-            succ, viol = edge
-            if viol and succ in good:
-                return Verdict(False, _build_lasso(t, parent, edges, letters, safe_letter, cfg, letter, succ))
+            succ, viol = e
+            if succ not in parent:
+                parent[succ] = (cfg, letter)
+                order.append(succ)
+            if viol:
+                found = path_to_safe(succ)
+                if found is not None:
+                    pre = _walk_back(parent, cfg)
+                    tail_path, safe_cfg = found
+                    return Verdict(
+                        False,
+                        Lasso(
+                            variables=t.variables,
+                            prefix=tuple(pre) + (letter,) + tuple(tail_path),
+                            loop_letter=safe_letter(safe_cfg),
+                            violation_step=len(pre) + 1,
+                        ),
+                    )
     return Verdict(True)
 
 
@@ -319,41 +339,6 @@ def _walk_back(parent: dict, c: _Config) -> list[Letter]:
         back.append(letter)
     back.reverse()
     return back
-
-
-def _build_lasso(t, parent, edges, letters, safe_letter, cfg, letter, succ) -> Lasso:
-    def path_to_safe(c: _Config) -> tuple[list[Letter], _Config]:
-        if safe_letter(c) is not None:
-            return [], c
-        par: dict[_Config, tuple[_Config, Letter] | None] = {c: None}
-        queue = [c]
-        qi = 0
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
-            for let in letters:
-                edge = edges.get((cur, let))
-                if edge is None:
-                    continue
-                s, _ = edge
-                if s in par:
-                    continue
-                par[s] = (cur, let)
-                if safe_letter(s) is not None:
-                    return _walk_back(par, s), s
-                queue.append(s)
-        raise AssertionError("successor marked good but no safe path found")
-
-    pre = _walk_back(parent, cfg)
-    tail_path, safe_cfg = path_to_safe(succ)
-    loop = safe_letter(safe_cfg)
-    assert loop is not None
-    return Lasso(
-        variables=t.variables,
-        prefix=tuple(pre) + (letter,) + tuple(tail_path),
-        loop_letter=loop,
-        violation_step=len(pre) + 1,
-    )
 
 
 # === Lasso replay ===

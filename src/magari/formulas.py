@@ -242,7 +242,7 @@ class _Parser:
             f = self.infix(_LEVEL_IFF)
             nxt, nat = self.take() if self.pos < len(self.tokens) else (None, len(self.text))
             if nxt != ")":
-                raise ParseError("expected ')'", nat if isinstance(nat, int) else len(self.text))
+                raise ParseError("expected ')'", nat)
             return f
         raise ParseError(f"expected a formula, got {tok!r}", at)
 

@@ -75,6 +75,14 @@ def test_check_json_counterexample_structure(capsys):
     assert data["counterexample"]["violation_step"] == 1
 
 
+def test_repeated_main_calls_do_not_share_appended_options(capsys):
+    code, _, _ = run(capsys, "check", "--hyp", "p = 0", "--concl", "Dp = D0", "--json")
+    assert code == 0
+    code, out, _ = run(capsys, "check", "--concl", "D(Dp -> p) = Dp", "--json")
+    assert code == 0
+    assert json.loads(out)["hypotheses"] == []
+
+
 def test_check_oracle_bound_flag(capsys):
     code, out, _ = run(capsys, "check", "--concl", "Dp = p", "--oracle-bound", "3", "--json")
     assert code == 1

@@ -112,6 +112,26 @@ def test_fixed_point_counterexample_is_deterministic():
     assert lasso_assignment(v.lasso) == {"p": ZERO}
 
 
+def test_refutation_at_step_one_stops_before_exploring_the_graph(monkeypatch):
+    # Exploring the whole configuration graph takes over a hundred steps, but
+    # the first letter already violates the conclusion at step 1.
+    terms = ["Dp", "Dq", "Dr", "D(p & q)", "D(q & r)", "D(p & r)", "D(p | q)", "D(q | r)"]
+    conj = " & ".join(terms)
+    calls = 0
+    step = decide_module.Transducer.step
+
+    def counting_step(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
+    v = decide(query([(conj, f"{conj} & p")]))
+    assert not v.valid
+    assert v.lasso.violation_step == 1
+    assert calls < 100
+
+
 def test_hypotheses_matter():
     # congruence instance: from p = 0 it follows that Dp = D0
     q_with = query([("Dp", "D0")], hyps=[("p", "0")])
