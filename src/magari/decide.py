@@ -19,17 +19,19 @@ hypothesis-true transition that violates some conclusion and whose successor
 reaches a SAFE configuration along hypothesis-true transitions.
 
 decide finds the first one on the fly: a breadth-first search from the
-all-ones start along hypothesis-true transitions, each computed once, that
-looks for a path to SAFE from the successor of each violating transition as
-it meets it and stops at the first that has one.  A failed look marks every
-configuration it visited as hopeless, so later looks skip them and the whole
-search stays linear in the transitions.
+all-ones start along hypothesis-true transitions that looks for a path to SAFE
+from the successor of each violating transition as it meets it and stops at
+the first that has one.  A failed look marks every configuration it visited as
+hopeless, so later looks skip them and the whole search stays linear in the
+transitions.  Letters are bit-sliced: bit l of an int lane is letter l, so one
+transducer step per configuration covers every letter, and the letters sharing
+a successor and a violation form one transition, named by the lowest of them.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the returned lasso is deterministic.  The transducer and
 the independent brute_force oracle walk one DAG of class-tagged nodes and
-share one table of Boolean connectives, _BOOL, each on its own carrier (a
-bit, a numpy lane of truncations).  The oracle gives each variable its own
+share one table of Boolean connectives, _BOOL, each on its own lanes (ints of
+letters, numpy arrays of truncations).  The oracle gives each variable its own
 axis of the assignment box, so a node's arrays span only the variables it
 depends on; it walks the box in doubling slabs of the first variable's axis
 and stops at the first slab holding a hit.  It realizes delta by its own
@@ -154,20 +156,25 @@ def _flatten(roots: Sequence[Formula]) -> _Dag:
     return _Dag(tuple(nodes), root_ids, tuple(names), state, cap)
 
 
-# Boolean semantics of the core connectives on bit vectors whose all-ones
-# value is top: the width mask or 1 for the coordinates or the tail of an
-# oracle lane.  _BIT tabulates it on single bits (top 1) for the transducer,
-# indexed by a for Not and by 2a + b otherwise, so a step makes no call.
+# Core connectives on bit vectors whose all-ones value is top: a bit per letter
+# in a transducer lane, the width mask or 1 for an oracle lane's coordinates or tail.
 _BOOL = {
     Not: lambda top, a: top ^ a,
     And: lambda top, a, b: a & b,
     Or: lambda top, a, b: a | b,
     Implies: lambda top, a, b: (top ^ a) | b,
 }
-_BIT = {
-    cls: tuple(fn(1, *bits) for bits in product((0, 1), repeat=1 if cls is Not else 2))
-    for cls, fn in _BOOL.items()
-}
+
+Lanes = tuple[int, tuple[int, ...]]  # (top, one mask per variable)
+
+
+@cache
+def _alphabet(n_vars: int) -> tuple[tuple[Letter, ...], Lanes]:
+    """Every letter in product order, and the lanes that slice them: bit l of
+    variable i's mask is that variable's bit in letter l."""
+    letters = tuple(product((0, 1), repeat=n_vars))
+    masks = tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n_vars))
+    return letters, ((1 << len(letters)) - 1, masks)
 
 
 class Transducer:
@@ -183,44 +190,42 @@ class Transducer:
     def next_position(self, position: int) -> int:
         return min(position + 1, self.position_cap)
 
-    def step(self, state: int, position: int, letter: Letter) -> tuple[tuple[int, ...], int]:
-        """Outputs of every root at this step, and the successor memory.
-
-        A delta node emits its memory bit (the past conjunction, 1 at step 1)
-        and then conjoins its child's current output into that bit.
-        """
+    def step(self, memory: Sequence[int], position: int, lanes: Lanes) -> tuple[tuple[int, ...], list[int]]:
+        """One step for every letter at once: each root's output lane and each
+        memory bit's keep lane.  lanes is top and a mask per variable, memory a
+        lane per memory bit.  A delta node emits its memory bit (the past
+        conjunction, 1 at step 1) and keeps it where its child outputs 1."""
+        top, var_masks = lanes
         nodes = self._dag.nodes
         out = [0] * len(nodes)
-        new_state = state
+        keep = [0] * self.state_width
         for i, op in enumerate(nodes):
             kind = op[0]
             if kind is Delta:
-                bit = op[2]
-                cur = (state >> bit) & 1
-                out[i] = cur
-                if cur and not out[op[1]]:
-                    new_state &= ~(1 << bit)
+                cur = out[i] = memory[op[2]]
+                keep[op[2]] = cur & out[op[1]]
             elif kind is Var:
-                out[i] = letter[op[1]]
+                out[i] = var_masks[op[1]]
             elif kind is ElementLit:
                 e = op[1]
-                out[i] = e.prefix[position - 1] if position <= len(e.prefix) else e.tail
+                bit = e.prefix[position - 1] if position <= len(e.prefix) else e.tail
+                out[i] = top if bit else 0
             elif kind is Not:
-                out[i] = _BIT[Not][out[op[1]]]
+                out[i] = _BOOL[Not](top, out[op[1]])
             else:
-                out[i] = _BIT[kind][out[op[1]] << 1 | out[op[2]]]
-        return tuple(out[r] for r in self._dag.roots), new_state
+                out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
+        return tuple(out[r] for r in self._dag.roots), keep
 
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
         """Root outputs for steps 1..n under the given element assignment."""
         rows = []
-        state, pos = self.initial_state, 1
+        memory, pos = [1] * self.state_width, 1
         for k in range(1, n + 1):
             try:
                 letter = tuple(coordinate(assignment[v], k) for v in self.variables)
             except KeyError as e:
                 raise UnboundVariableError(e.args[0]) from None
-            outs, state = self.step(state, pos, letter)
+            outs, memory = self.step(memory, pos, (1, letter))
             rows.append(outs)
             pos = self.next_position(pos)
         return rows
@@ -240,35 +245,73 @@ def decide(query: QuasiQuery) -> Verdict:
     """Valid, or a deterministic lasso counterexample on the intended carrier."""
     eqs = query.hypotheses + query.conclusions
     t = compile_roots([side for eq in eqs for side in (eq.lhs, eq.rhs)])
-    nh = len(query.hypotheses)
-    nc = len(query.conclusions)
-    letters: list[Letter] = [tuple(bits) for bits in product((0, 1), repeat=len(t.variables))]
+    nh2, n_roots = 2 * len(query.hypotheses), 2 * len(eqs)
+    letters, lanes = _alphabet(len(t.variables))
+    top = lanes[0]
+    width = range(t.state_width)
 
-    @cache
-    def edge(cfg: _Config, letter: Letter) -> tuple[_Config, bool] | None:
-        """Successor and whether a conclusion is violated, for a hypothesis-true step."""
-        outs, ns = t.step(cfg[0], cfg[1], letter)
-        if any(outs[2 * i] != outs[2 * i + 1] for i in range(nh)):
-            return None
-        viol = any(outs[2 * j] != outs[2 * j + 1] for j in range(nh, nh + nc))
-        return (ns, t.next_position(cfg[1])), viol
+    def split(outs: tuple[int, ...]) -> tuple[int, int]:
+        """Letters that keep every hypothesis, and those of them that violate a conclusion."""
+        hyp = top
+        for i in range(0, nh2, 2):
+            hyp &= ~(outs[i] ^ outs[i + 1])
+        viol = 0
+        for j in range(nh2, n_roots, 2):
+            viol |= outs[j] ^ outs[j + 1]
+        return hyp, viol & hyp
+
+    memo: dict[_Config, list[tuple[Letter, _Config, bool]]] = {}
+
+    def edges(cfg: _Config) -> list[tuple[Letter, _Config, bool]]:
+        """Hypothesis-true transitions out of cfg in letter order, one (lowest
+        letter, successor, violates) per group of letters sharing the last two."""
+        got = memo.get(cfg)
+        if got is not None:
+            return got
+        state, pos = cfg
+        outs, keep = t.step([top & -(state >> b & 1) for b in width], pos, lanes)
+        hyp, viol = split(outs)
+        got = memo[cfg] = []
+        if not hyp:
+            return got
+        # (letters, successor) pairs, split by each partly kept memory bit and by viol
+        groups = [(hyp, sum(1 << b for b in width if keep[b] & hyp == hyp))]
+        for k, bit in [(keep[b] & hyp, 1 << b) for b in width] + [(viol, 0)]:
+            if k and k != hyp:
+                groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
+        npos = t.next_position(pos)
+        for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
+            got.append((letters[lo.bit_length() - 1], (s, npos), v != 0))
+        return got
 
     max_iter = t.position_cap + t.state_width + 2
+    safe_memo: dict[_Config, Letter | None] = {}
 
-    @cache
     def safe_letter(cfg: _Config) -> Letter | None:
-        for letter in letters:
-            cur = cfg
-            for _ in range(max_iter):
-                e = edge(cur, letter)
-                if e is None:
-                    break
-                if e[0] == cur:
-                    return letter
-                cur = e[0]
-            else:
-                raise AssertionError("no fixpoint within the monotone stabilization bound")
-        return None
+        """Lowest letter that, repeated from cfg, keeps the hypotheses until a
+        fixpoint; all letters walk at once, each memory bit a lane over them."""
+        if cfg in safe_memo:
+            return safe_memo[cfg]
+        state, pos = cfg
+        memory = [top & -(state >> b & 1) for b in width]
+        walking, fixed = top, 0
+        for _ in range(max_iter):
+            outs, keep = t.step(memory, pos, lanes)
+            walking &= split(outs)[0]
+            npos = t.next_position(pos)
+            if npos == pos:
+                moved = 0
+                for b in width:
+                    moved |= memory[b] ^ keep[b]
+                fixed |= walking & ~moved
+                walking &= moved
+            if not walking or (fixed and fixed & -fixed < walking & -walking):
+                break
+            memory, pos = keep, npos
+        else:
+            raise AssertionError("no fixpoint within the monotone stabilization bound")
+        found = safe_memo[cfg] = letters[(fixed & -fixed).bit_length() - 1] if fixed else None
+        return found
 
     # Configurations known to reach no SAFE configuration; their successors
     # can reach nothing they cannot, so a failed search marks all it visited.
@@ -285,11 +328,9 @@ def decide(query: QuasiQuery) -> Verdict:
         while qi < len(queue):
             cur = queue[qi]
             qi += 1
-            for let in letters:
-                e = edge(cur, let)
-                if e is None or e[0] in par or e[0] in hopeless:
+            for let, s, _ in edges(cur):
+                if s in par or s in hopeless:
                     continue
-                s = e[0]
                 par[s] = (cur, let)
                 if safe_letter(s) is not None:
                     return _walk_back(par, s), s
@@ -306,11 +347,7 @@ def decide(query: QuasiQuery) -> Verdict:
     while qi < len(order):
         cfg = order[qi]
         qi += 1
-        for letter in letters:
-            e = edge(cfg, letter)
-            if e is None:
-                continue
-            succ, viol = e
+        for letter, succ, viol in edges(cfg):
             if succ not in parent:
                 parent[succ] = (cfg, letter)
                 order.append(succ)

@@ -132,6 +132,25 @@ def test_refutation_at_step_one_stops_before_exploring_the_graph(monkeypatch):
     assert calls < 100
 
 
+def test_wide_alphabet_costs_one_step_per_configuration(monkeypatch):
+    # A valid cycle over n variables has 2^n letters; a per-letter step made
+    # one call per (configuration, letter), 65,536 for n = 8.
+    calls = 0
+    step = decide_module.Transducer.step
+
+    def counting_step(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
+    for n in (8, 10):
+        terms = [f"D(x{i} -> x{(i + 1) % n})" for i in range(n)]
+        calls = 0
+        assert decide(query([(" & ".join(terms), " & ".join(terms[1:] + terms[:1]))])).valid
+        assert calls <= 2 * 2**n
+
+
 def test_hypotheses_matter():
     # congruence instance: from p = 0 it follows that Dp = D0
     q_with = query([("Dp", "D0")], hyps=[("p", "0")])
