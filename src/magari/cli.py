@@ -9,6 +9,7 @@ consistency violations (decider versus oracle, or a lasso that fails replay).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .algebra import Element, format_element, parse_element
-from .decide import Equation, Lasso, QuasiQuery, cross_check, decide, require_replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, require_replay
 from .expressibility import (
     PrecompletenessReport,
     enumerate_closure,
@@ -28,7 +29,7 @@ from .expressibility import (
     synthesize_term,
     verify_precompleteness,
 )
-from .formulas import Formula, NamedFormula, ParseError, format_formula, parse
+from .formulas import NamedFormula, ParseError, format_formula, parse
 from .semantics import UnboundVariableError, evaluate, evaluate_closed
 
 _DEFAULT_ORACLE_BOUND = 5
@@ -39,24 +40,18 @@ class InternalCheckError(Exception):
     """Decider versus oracle or a synthesized term disagreed; a bug, not a user error."""
 
 
-def _env_oracle_bound() -> int:
-    raw = os.environ.get("MAGARI_ORACLE_BOUND", str(_DEFAULT_ORACLE_BOUND))
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ValueError(f"MAGARI_ORACLE_BOUND must be an integer, got {raw!r}") from None
-    if bound < 0:
-        raise ValueError(f"MAGARI_ORACLE_BOUND must be >= 0, got {bound}")
-    return bound
-
-
 def _resolve_bound(flag_value: int | None) -> int | None:
-    if flag_value is None:
-        return None
+    """The --oracle-bound value: None when absent, MAGARI_ORACLE_BOUND (else 5) when bare."""
+    source = "oracle bound"
     if flag_value == _BOUND_FROM_ENV:
-        return _env_oracle_bound()
-    if flag_value < 0:
-        raise ValueError(f"oracle bound must be >= 0, got {flag_value}")
+        source = "MAGARI_ORACLE_BOUND"
+        raw = os.environ.get(source, str(_DEFAULT_ORACLE_BOUND))
+        try:
+            flag_value = int(raw)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+    if flag_value is not None and flag_value < 0:
+        raise ValueError(f"{source} must be >= 0, got {flag_value}")
     return flag_value
 
 
@@ -105,7 +100,13 @@ def _lasso_dict(lasso: Lasso) -> dict:
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
-        return
+    elif report["command"] == "verify-paper":
+        _print_summary(report)
+    else:
+        _print_fields(report)
+
+
+def _print_fields(report: dict) -> None:
     for key, value in report.items():
         if isinstance(value, dict):
             print(f"{key}:")
@@ -122,40 +123,47 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _print_summary(report: dict) -> None:
+    """verify-paper's text mode: one line per cell, the reasons of a failed one."""
+    for cell in report["cells"]:
+        print(f"i={cell['class']} witness={cell['formula']} {'PASS' if cell['passed'] else 'FAIL'}")
+        if not cell["passed"]:
+            for key in ("outside_class", "constant_differs", "negation_wrapper_in_class",
+                        "delta_wrapper_in_class", "negation_forward", "negation_backward",
+                        "delta_forward", "delta_backward", "oracle_agreed"):
+                print(f"  {key}: {cell[key]}")
+            for lasso in cell["counterexamples"]:
+                print("  counterexample: " + json.dumps(lasso))
+    if report["separations"]:
+        print(f"pairwise separations: {len(report['separations'])} confirmed")
+    print(f"result: {report['result']}")
+
+
 # === Commands ===
+# Each returns its exit code and its own report fields; main adds the envelope.
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args) -> tuple[int, dict]:
     formula = parse(args.formula)
     assignment = _parse_assignments(args.assign)
     value = evaluate(formula, assignment)
-    _emit(
-        {
-            "command": "eval",
-            "formula": format_formula(formula),
-            "assignment": {v: format_element(e) for v, e in assignment.items()},
-            "value": format_element(value),
-            "duration_s": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        },
-        args.json,
-    )
-    return 0
+    return 0, {
+        "formula": format_formula(formula),
+        "assignment": {v: format_element(e) for v, e in assignment.items()},
+        "value": format_element(value),
+    }
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args) -> tuple[int, dict]:
     hyps = tuple(_parse_equation(t) for t in args.hyp or ())
     concls = tuple(_parse_equation(t) for t in args.concl or ())
     query = QuasiQuery(hyps, concls)
     verdict = decide(query)
 
     report: dict = {
-        "command": "check",
         "hypotheses": [f"{format_formula(e.lhs)} = {format_formula(e.rhs)}" for e in hyps],
         "conclusions": [f"{format_formula(e.lhs)} = {format_formula(e.rhs)}" for e in concls],
-        "verdict": "Valid" if verdict.valid else "Counterexample",
+        "verdict": _json_value(verdict),
     }
     require_replay(query, verdict)
     if verdict.lasso is not None:
@@ -170,98 +178,63 @@ def _cmd_check(args) -> int:
         )
         if disagreement is not None:
             raise InternalCheckError(disagreement)
-
-    report["duration_s"] = round(time.perf_counter() - started, 6)
-    report["version"] = __version__
-    _emit(report, args.json)
-    return 0 if verdict.valid else 1
+    return (0 if verdict.valid else 1), report
 
 
-def _cmd_member(args) -> int:
-    started = time.perf_counter()
+def _cmd_member(args) -> tuple[int, dict]:
     formula = parse(args.formula)
     inside = preserves(args.class_index, formula)
-    _emit(
-        {
-            "command": "member",
-            "class": args.class_index,
-            "formula": format_formula(formula),
-            "member": inside,
-            "duration_s": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        },
-        args.json,
-    )
-    return 0 if inside else 1
+    return (0 if inside else 1), {
+        "class": args.class_index,
+        "formula": format_formula(formula),
+        "member": inside,
+    }
 
 
-def _cmd_closure(args) -> int:
-    started = time.perf_counter()
+def _cmd_closure(args) -> tuple[int, dict]:
     sigma = _load_signature(args.sigma)
     result = enumerate_closure(sigma, args.vars, args.depth, args.cap)
-    _emit(
-        {
-            "command": "closure",
-            "signature": [f"{e.name} := {format_formula(e.formula)}" for e in sigma],
-            "vars": args.vars,
-            "depth": args.depth,
-            "cap": args.cap,
-            "classes": [format_formula(f) for f in result.classes],
-            "class_count": len(result.classes),
-            "truncated": result.truncated,
-            "duration_s": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        },
-        args.json,
-    )
-    return 0
+    return 0, {
+        "signature": [f"{e.name} := {format_formula(e.formula)}" for e in sigma],
+        "vars": args.vars,
+        "depth": args.depth,
+        "cap": args.cap,
+        "classes": [format_formula(f) for f in result.classes],
+        "class_count": len(result.classes),
+        "truncated": result.truncated,
+    }
 
 
-def _cmd_synthesize(args) -> int:
-    started = time.perf_counter()
+def _cmd_synthesize(args) -> tuple[int, dict]:
     element = parse_element(args.element)
     term = synthesize_term(element)
     if evaluate_closed(term) != element:
         raise InternalCheckError("synthesized term does not evaluate back to the element")
-    _emit(
-        {
-            "command": "synthesize",
-            "element": format_element(element),
-            "term": format_formula(term),
-            "duration_s": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        },
-        args.json,
-    )
-    return 0
+    return 0, {"element": format_element(element), "term": format_formula(term)}
+
+
+def _json_value(value):
+    """A report field as JSON: formulas and elements as text, verdicts by name,
+    a lasso tuple as a list of lasso dicts."""
+    if value is None or isinstance(value, int):
+        return value
+    if isinstance(value, Verdict):
+        return "Valid" if value.valid else "Counterexample"
+    if isinstance(value, Element):
+        return format_element(value)
+    if isinstance(value, tuple):
+        return [_lasso_dict(lasso) for lasso in value]
+    return format_formula(value)
 
 
 def _report_dict(r: PrecompletenessReport) -> dict:
-    def verdict_str(v):
-        if v is None:
-            return None
-        return "Valid" if v.valid else "Counterexample"
-
     return {
-        "class": r.class_index,
-        "formula": format_formula(r.formula),
-        "outside_class": r.outside_class,
-        "constant": format_element(r.constant) if r.constant is not None else None,
-        "constant_differs": r.constant_differs,
-        "negation_wrapper_in_class": r.negation_wrapper_in_class,
-        "delta_wrapper_in_class": r.delta_wrapper_in_class,
-        "negation_forward": verdict_str(r.negation_forward),
-        "negation_backward": verdict_str(r.negation_backward),
-        "delta_forward": verdict_str(r.delta_forward),
-        "delta_backward": verdict_str(r.delta_backward),
-        "oracle_agreed": r.oracle_agreed,
-        "counterexamples": [_lasso_dict(l) for l in r.counterexamples],
-        "passed": r.passed,
+        "class" if f.name == "class_index" else f.name: _json_value(getattr(r, f.name))
+        for f in dataclasses.fields(r)
     }
 
 
-def _cmd_verify_paper(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_paper(args) -> tuple[int, dict]:
     if args.i_max < 1:
         raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
     bound = _resolve_bound(args.oracle_bound)
@@ -270,7 +243,7 @@ def _cmd_verify_paper(args) -> int:
     cells = []
     all_passed = True
     for i in range(1, args.i_max + 1):
-        witnesses: list[Formula] = explicit if explicit is not None else [
+        witnesses = explicit if explicit is not None else [
             parse("!p"),
             parse("Dp"),
             neg_delta_power_term(i + 1),
@@ -286,33 +259,13 @@ def _cmd_verify_paper(args) -> int:
         matrix = pairwise_distinct(args.i_max)
         separations = {f"{i},{j}": format_formula(t) for (i, j), t in sorted(matrix.items())}
 
-    report = {
-        "command": "verify-paper",
+    return (0 if all_passed else 1), {
         "i_max": args.i_max,
         "oracle_bound": bound,
         "cells": cells,
         "separations": separations,
         "result": "PASS" if all_passed else "FAIL",
-        "duration_s": round(time.perf_counter() - started, 6),
-        "version": __version__,
     }
-    if args.json:
-        _emit(report, True)
-    else:
-        for cell in cells:
-            line = f"i={cell['class']} witness={cell['formula']} {'PASS' if cell['passed'] else 'FAIL'}"
-            print(line)
-            if not cell["passed"]:
-                for key in ("outside_class", "constant_differs", "negation_wrapper_in_class",
-                            "delta_wrapper_in_class", "negation_forward", "negation_backward",
-                            "delta_forward", "delta_backward", "oracle_agreed"):
-                    print(f"  {key}: {cell[key]}")
-                for lasso in cell["counterexamples"]:
-                    print("  counterexample: " + json.dumps(lasso))
-        if separations:
-            print(f"pairwise separations: {len(separations)} confirmed")
-        print(f"result: {report['result']}")
-    return 0 if all_passed else 1
 
 
 # === Entry points ===
@@ -386,7 +339,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = e.code if isinstance(e.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        code, fields = args.func(args)
+        envelope = {"duration_s": round(time.perf_counter() - started, 6), "version": __version__}
+        _emit({"command": args.command} | fields | envelope, args.json)
+        return code
     except (ParseError, UnboundVariableError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

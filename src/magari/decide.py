@@ -109,18 +109,7 @@ class Verdict:
 # === Shared term DAG and transducer ===
 
 
-@dataclass(frozen=True)
-class _Dag:
-    # nodes tagged by formula class: (Var, vi) (ElementLit, Element) (Not, a)
-    # (And|Or|Implies, a, b) (Delta, a, state_bit); children precede parents
-    nodes: tuple[tuple, ...]
-    roots: tuple[int, ...]
-    variables: tuple[str, ...]
-    state_width: int
-    position_cap: int
-
-
-def _flatten(roots: Sequence[Formula]) -> _Dag:
+def _flatten(roots: Sequence[Formula]) -> Transducer:
     names = sorted({v for r in roots for v in free_vars(r)})
     var_index = {v: i for i, v in enumerate(names)}
     normalized = [constant_fold(desugar(r)) for r in roots]
@@ -153,7 +142,7 @@ def _flatten(roots: Sequence[Formula]) -> _Dag:
 
     root_ids = tuple(build(r) for r in normalized)
     cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
-    return _Dag(tuple(nodes), root_ids, tuple(names), state, cap)
+    return Transducer(tuple(nodes), root_ids, tuple(names), state, cap)
 
 
 # Core connectives on bit vectors whose all-ones value is top: a bit per letter
@@ -177,15 +166,22 @@ def _alphabet(n_vars: int) -> tuple[tuple[Letter, ...], Lanes]:
     return letters, ((1 << len(letters)) - 1, masks)
 
 
+@dataclass(frozen=True)
 class Transducer:
-    """Letter-to-letter machine producing root coordinates step by step."""
+    """Letter-to-letter machine over a compiled term DAG, producing root
+    coordinates step by step."""
 
-    def __init__(self, dag: _Dag):
-        self._dag = dag
-        self.variables = dag.variables
-        self.state_width = dag.state_width
-        self.initial_state = (1 << dag.state_width) - 1
-        self.position_cap = dag.position_cap
+    # nodes tagged by formula class: (Var, vi) (ElementLit, Element) (Not, a)
+    # (And|Or|Implies, a, b) (Delta, a, state_bit); children precede parents
+    nodes: tuple[tuple, ...]
+    roots: tuple[int, ...]
+    variables: tuple[str, ...]
+    state_width: int
+    position_cap: int
+
+    @property
+    def initial_state(self) -> int:
+        return (1 << self.state_width) - 1
 
     def next_position(self, position: int) -> int:
         return min(position + 1, self.position_cap)
@@ -196,7 +192,7 @@ class Transducer:
         lane per memory bit.  A delta node emits its memory bit (the past
         conjunction, 1 at step 1) and keeps it where its child outputs 1."""
         top, var_masks = lanes
-        nodes = self._dag.nodes
+        nodes = self.nodes
         out = [0] * len(nodes)
         keep = [0] * self.state_width
         for i, op in enumerate(nodes):
@@ -214,7 +210,7 @@ class Transducer:
                 out[i] = _BOOL[Not](top, out[op[1]])
             else:
                 out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
-        return tuple(out[r] for r in self._dag.roots), keep
+        return tuple(out[r] for r in self.roots), keep
 
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
         """Root outputs for steps 1..n under the given element assignment."""
@@ -233,7 +229,7 @@ class Transducer:
 
 def compile_roots(roots: Sequence[Formula]) -> Transducer:
     """Compile formulas jointly: desugared, constant folded, subterms shared."""
-    return Transducer(_flatten(roots))
+    return _flatten(roots)
 
 
 # === Quasi-identity decision ===
@@ -484,14 +480,14 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
     full = np.uint64((1 << width) - 1)
 
-    elements = elements_up_to(bound)
-    n = len(elements)
+    n = 2 ** (bound + 1)  # len(elements_up_to(bound)), known before any is built
     k = len(dag.variables)
     total = n**k
     if total * len(dag.nodes) > ORACLE_CELLS:
         raise ValueError(
             f"oracle box of {total} assignments x {len(dag.nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
         )
+    elements = elements_up_to(bound) if k else []
     mask_tab = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
     tail_tab = np.array([e.tail for e in elements], dtype=np.uint64)
     var_vals = []

@@ -22,7 +22,7 @@ parser never emits them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .algebra import Element, ONE, ZERO, box, delta, format_element, implies as elt_implies, join, meet, nabla, negate
 
@@ -283,22 +283,18 @@ def _fmt(f: Formula, minlevel: int) -> str:
 # === Structural operations ===
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Preorder walk, repeated subterms included each time they occur."""
-    yield f
-    if isinstance(f, _UNARY):
-        yield from subformulas(f.arg)
-    elif isinstance(f, _BINARY):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
-
-
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Variable names in first-occurrence order."""
     seen: dict[str, None] = {}
-    for g in subformulas(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Var):
             seen.setdefault(g.name)
+        elif isinstance(g, _UNARY):
+            stack.append(g.arg)
+        elif isinstance(g, _BINARY):
+            stack += (g.rhs, g.lhs)
     return tuple(seen)
 
 

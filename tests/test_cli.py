@@ -221,6 +221,31 @@ def test_verify_paper_member_witness_fails(capsys):
     assert data["cells"][0]["outside_class"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "Dp", "--assign", "p=0(1)"),
+        ("check", "--concl", "Dp = p"),
+        ("member", "--class", "2", "p & q"),
+        ("closure", "--sigma", "SIGMA", "--depth", "2"),
+        ("synthesize", "010(1)"),
+        ("verify-paper", "--i-max", "1", "--witnesses", "Dp"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_verb_json_report_has_the_envelope(capsys, tmp_path, argv):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("d := Dp\n")
+    code, out, _ = run(capsys, *(str(sigma) if a == "SIGMA" else a for a in argv), "--json")
+    assert code in (0, 1)
+    data = json.loads(out)
+    keys = list(data)
+    assert keys[0] == "command" and data["command"] == argv[0]
+    assert keys[-2:] == ["duration_s", "version"]
+    assert isinstance(data["duration_s"], float) and data["duration_s"] >= 0
+    assert data["version"] == magari.__version__
+
+
 def test_unknown_verb(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

@@ -269,6 +269,17 @@ def test_brute_force_refuses_box_over_cell_budget():
         brute_force(query([("p & q", "q & r")]), 8)
 
 
+def test_brute_force_checks_budget_before_building_elements(monkeypatch):
+    # 2**31 elements per variable at bound 30, and none needed for a closed query
+    def refuse(bound):
+        raise AssertionError(f"elements_up_to({bound}) built")
+
+    monkeypatch.setattr(decide_module, "elements_up_to", refuse)
+    with pytest.raises(ValueError, match="budget"):
+        brute_force(query([("p", "q")]), 30)
+    assert brute_force(query([("1", "1")]), 40) is None
+
+
 def _query_vars(q: QuasiQuery) -> list[str]:
     return sorted({v for e in q.hypotheses + q.conclusions for s in (e.lhs, e.rhs) for v in free_vars(s)})
 

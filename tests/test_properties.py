@@ -1,6 +1,8 @@
 """Property tests: parser round trip, transducer lanes against exact
-evaluation, and decider, oracle and replay agreeing."""
+evaluation, decider, oracle and replay agreeing, and the CLI's exit codes."""
 
+import contextlib
+import io
 from itertools import product
 
 import pytest
@@ -32,6 +34,7 @@ from magari import (
     parse,
     require_replay,
 )
+from magari.cli import main
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -89,3 +92,37 @@ def test_decider_oracle_and_replay_agree(q):
     v = decide(q)
     require_replay(q, v)
     assert cross_check(q, v, 2)[1] is None
+
+
+# Grammar tokens, Unicode aliases, '=', stray characters and element texts,
+# mixed with well-formed arguments so that every exit code is reached.
+_SOUP = (
+    "p", "q", "x1", "0", "1", "!", "D", "#", "@", "&", "|", "->", "<->", "(", ")", " ",
+    "¬", "Δ", "□", "∇", "∧", "∨", "⊃", "↔", "∼", "=", "==", "$", "P", "_", ",", "-", "\\",
+    "010(1)", "(0)", "1(", "p=0(1)",
+)
+_TEXT = st.lists(st.sampled_from(_SOUP), max_size=10).map("".join)
+_FORMULA = st.one_of(formulas(st.sampled_from(("p", "q")), 4).map(format_formula), _TEXT)
+_EQUATION = st.one_of(st.tuples(_FORMULA, _FORMULA).map(" = ".join), _TEXT)
+_ELEMENT = st.one_of(st.sampled_from(("(1)", "0(1)", "010(1)", "0110(0)")), _TEXT)
+_SMALL = st.integers(-2, 4).map(str)
+_ARGV = st.one_of(
+    st.tuples(st.just("eval"), _FORMULA, st.just("--assign"), _ELEMENT.map("p=".__add__)),
+    st.tuples(st.just("check"), st.just("--hyp"), _EQUATION, st.just("--concl"), _EQUATION,
+              st.just("--oracle-bound"), _SMALL),
+    st.tuples(st.just("check"), st.just("--concl"), _EQUATION),
+    st.tuples(st.just("member"), st.just("--class"), _SMALL, _FORMULA),
+    st.tuples(st.just("synthesize"), _ELEMENT),
+    st.tuples(st.just("verify-paper"), st.just("--i-max"), st.just("1"), st.just("--witnesses"), _FORMULA,
+              st.just("--oracle-bound"), _SMALL),
+)
+
+
+@PROPERTY
+@given(_ARGV)
+def test_cli_exit_codes_stay_in_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
