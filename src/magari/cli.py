@@ -33,17 +33,17 @@ from .formulas import NamedFormula, ParseError, format_formula, parse
 from .semantics import UnboundVariableError, evaluate, evaluate_closed
 
 _DEFAULT_ORACLE_BOUND = 5
-_BOUND_FROM_ENV = -1  # sentinel for "--oracle-bound with no value"
+_BOUND_FROM_ENV = object()  # const of a bare --oracle-bound; argparse would run a str const through int
 
 
 class InternalCheckError(Exception):
     """Decider versus oracle or a synthesized term disagreed; a bug, not a user error."""
 
 
-def _resolve_bound(flag_value: int | None) -> int | None:
+def _resolve_bound(flag_value: int | object | None) -> int | None:
     """The --oracle-bound value: None when absent, MAGARI_ORACLE_BOUND (else 5) when bare."""
     source = "oracle bound"
-    if flag_value == _BOUND_FROM_ENV:
+    if flag_value is _BOUND_FROM_ENV:
         source = "MAGARI_ORACLE_BOUND"
         raw = os.environ.get(source, str(_DEFAULT_ORACLE_BOUND))
         try:
@@ -238,7 +238,7 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
     if args.i_max < 1:
         raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
     bound = _resolve_bound(args.oracle_bound)
-    explicit = [parse(w) for w in args.witnesses.split(",")] if args.witnesses else None
+    explicit = [parse(w) for w in args.witnesses.split(",")] if args.witnesses is not None else None
 
     cells = []
     all_passed = True

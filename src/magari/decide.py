@@ -28,10 +28,11 @@ transducer step per configuration covers every letter, and the letters sharing
 a successor and a violation form one transition, named by the lowest of them.
 
 Letters are explored lexicographically smallest first and configurations in
-discovery order, so the returned lasso is deterministic.  The transducer and
-the independent brute_force oracle walk one DAG of class-tagged nodes and
-share one table of Boolean connectives, _BOOL, each on its own lanes (ints of
-letters, numpy arrays of truncations).  The oracle gives each variable its own
+discovery order, so the returned lasso is deterministic.  A query compiles
+once, on first use, into QuasiQuery.transducer; decide and the independent
+brute_force oracle both read that one DAG of class-tagged nodes and share one
+table of Boolean connectives, _BOOL, each on its own lanes (ints of letters,
+numpy arrays of truncations).  The oracle gives each variable its own
 axis of the assignment box, so a node's arrays span only the variables it
 depends on; it walks the box in doubling slabs of the first variable's axis
 and stops at the first slab holding a hit.  It realizes delta by its own
@@ -43,7 +44,7 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from typing import Sequence
 
@@ -61,7 +62,6 @@ from .formulas import (
     Var,
     constant_fold,
     desugar,
-    free_vars,
 )
 from .semantics import UnboundVariableError, holds_equation
 
@@ -85,6 +85,12 @@ class QuasiQuery:
         if not self.conclusions:
             raise ValueError("a query needs at least one conclusion equation")
 
+    @cached_property
+    def transducer(self) -> Transducer:
+        """Compiled on first use, for decide and the oracle alike: each hypothesis,
+        then each conclusion, lhs before rhs.  Not a field, so == and hash ignore it."""
+        return compile_roots([s for eq in self.hypotheses + self.conclusions for s in (eq.lhs, eq.rhs)])
+
 
 @dataclass(frozen=True)
 class Lasso:
@@ -107,42 +113,6 @@ class Verdict:
 
 
 # === Shared term DAG and transducer ===
-
-
-def _flatten(roots: Sequence[Formula]) -> Transducer:
-    names = sorted({v for r in roots for v in free_vars(r)})
-    var_index = {v: i for i, v in enumerate(names)}
-    normalized = [constant_fold(desugar(r)) for r in roots]
-
-    index: dict[tuple, int] = {}
-    nodes: list[tuple] = []
-    state = 0
-
-    def build(f: Formula) -> int:
-        nonlocal state
-        cls = type(f)
-        if cls is Var:
-            key = (Var, var_index[f.name])
-        elif cls is ElementLit:
-            key = (ElementLit, f.element)
-        elif cls is Not or cls is Delta:
-            key = (cls, build(f.arg))
-        elif cls is And or cls is Or or cls is Implies:
-            key = (cls, build(f.lhs), build(f.rhs))
-        else:
-            raise TypeError(f"unexpected node after desugar and fold: {f!r}")
-        got = index.get(key)
-        if got is None:
-            got = index[key] = len(nodes)
-            if cls is Delta:
-                key += (state,)
-                state += 1
-            nodes.append(key)
-        return got
-
-    root_ids = tuple(build(r) for r in normalized)
-    cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
-    return Transducer(tuple(nodes), root_ids, tuple(names), state, cap)
 
 
 # Core connectives on bit vectors whose all-ones value is top: a bit per letter
@@ -228,8 +198,38 @@ class Transducer:
 
 
 def compile_roots(roots: Sequence[Formula]) -> Transducer:
-    """Compile formulas jointly: desugared, constant folded, subterms shared."""
-    return _flatten(roots)
+    """Compile formulas jointly: desugared, constant folded, subterms shared, variables in name order."""
+    index: dict[tuple, int] = {}
+    nodes: list[tuple] = []
+    state = 0
+
+    def build(f: Formula) -> int:
+        nonlocal state
+        cls = type(f)
+        if cls is Var:
+            key = (Var, f.name)
+        elif cls is ElementLit:
+            key = (ElementLit, f.element)
+        elif cls is Not or cls is Delta:
+            key = (cls, build(f.arg))
+        elif cls is And or cls is Or or cls is Implies:
+            key = (cls, build(f.lhs), build(f.rhs))
+        else:
+            raise TypeError(f"unexpected node after desugar and fold: {f!r}")
+        got = index.get(key)
+        if got is None:
+            got = index[key] = len(nodes)
+            if cls is Delta:
+                key += (state,)
+                state += 1
+            nodes.append(key)
+        return got
+
+    root_ids = tuple(build(constant_fold(desugar(r))) for r in roots)
+    var_index = {v: i for i, v in enumerate(sorted(op[1] for op in nodes if op[0] is Var))}
+    dag = tuple((Var, var_index[op[1]]) if op[0] is Var else op for op in nodes)
+    cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
+    return Transducer(dag, root_ids, tuple(var_index), state, cap)
 
 
 # === Quasi-identity decision ===
@@ -239,9 +239,8 @@ _Config = tuple[int, int]  # (memory bits, capped position)
 
 def decide(query: QuasiQuery) -> Verdict:
     """Valid, or a deterministic lasso counterexample on the intended carrier."""
-    eqs = query.hypotheses + query.conclusions
-    t = compile_roots([side for eq in eqs for side in (eq.lhs, eq.rhs)])
-    nh2, n_roots = 2 * len(query.hypotheses), 2 * len(eqs)
+    t = query.transducer
+    nh2, n_roots = 2 * len(query.hypotheses), len(t.roots)
     letters, lanes = _alphabet(len(t.variables))
     top = lanes[0]
     width = range(t.state_width)
@@ -460,8 +459,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    eqs = query.hypotheses + query.conclusions
-    dag = _flatten([side for eq in eqs for side in (eq.lhs, eq.rhs)])
+    dag = query.transducer
     chain: list[int] = []  # most Delta nodes on a path down from each node
     on_first: list[bool] = []  # whether each node depends on the first variable
     for op in dag.nodes:

@@ -81,17 +81,15 @@ def neg_delta_power_term(i: int) -> Formula:
 def off_class_constant(i: int, f: Formula) -> Element:
     """Value of f with all variables at the i-th class constant, for f outside the class.
 
-    This value necessarily differs from the class constant; formulas inside
-    the class are rejected.
+    Formulas inside the class, whose value is the class constant itself, are
+    rejected with ValueError.
     """
-    if preserves(i, f):
-        raise ValueError(
-            f"formula {format_formula(f)} lies in preserving class {i}; no displaced constant exists"
-        )
     a = class_constant(i)
     c = evaluate(f, {v: a for v in free_vars(f)})
     if c == a:
-        raise AssertionError("non-member evaluated to the class constant")
+        raise ValueError(
+            f"formula {format_formula(f)} lies in preserving class {i}; no displaced constant exists"
+        )
     return c
 
 

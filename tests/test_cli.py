@@ -112,6 +112,21 @@ def test_check_bad_env_bound(capsys, monkeypatch):
     assert "MAGARI_ORACLE_BOUND" in err
 
 
+@pytest.mark.parametrize("bound", ["-1", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--concl", "D1 = 1"), ("verify-paper", "--i-max", "1")],
+    ids=lambda argv: argv[0],
+)
+def test_negative_oracle_bound_is_a_usage_error(capsys, monkeypatch, argv, bound):
+    # -1 is a value like any other, not the bare flag that reads the environment
+    monkeypatch.setenv("MAGARI_ORACLE_BOUND", "2")
+    code, out, err = run(capsys, *argv, "--oracle-bound", bound, "--json")
+    assert code == 2
+    assert out == ""
+    assert f"oracle bound must be >= 0, got {bound}" in err
+
+
 def test_check_requires_conclusion(capsys):
     code, _, _ = run(capsys, "check")
     assert code == 2
@@ -211,6 +226,13 @@ def test_verify_paper_explicit_witnesses(capsys):
     code, out, _ = run(capsys, "verify-paper", "--i-max", "1", "--witnesses", "!p,Dp", "--json")
     assert code == 0
     assert len(json.loads(out)["cells"]) == 2
+
+
+def test_verify_paper_empty_witness_list_is_refused(capsys):
+    code, out, err = run(capsys, "verify-paper", "--i-max", "1", "--witnesses", "")
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error:")
 
 
 def test_verify_paper_member_witness_fails(capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import magari.cli
 from magari import (
     ONE,
     ZERO,
@@ -19,16 +20,19 @@ from magari import (
     coordinate,
     cross_check,
     decide,
+    delta_witness,
     elements_up_to,
     evaluate,
     free_vars,
     holds_equation,
     lasso_assignment,
     neg_delta_power_term,
+    negation_witness,
     parse,
     parse_element,
     replay,
     verify_precompleteness,
+    witness_queries,
 )
 from helpers import random_element, random_formula, random_query
 
@@ -365,6 +369,36 @@ def test_cross_check_agreement():
         found, reason = cross_check(q, v, 3)
         assert reason is None
         assert (found is None) == v.valid
+
+
+def test_a_checked_query_compiles_once(monkeypatch, capsys):
+    # decide and the oracle read one QuasiQuery.transducer, so each equation
+    # side is desugared once, not once for the decider and again for the oracle
+    calls = 0
+    desugar = decide_module.desugar
+
+    def counting_desugar(f):
+        nonlocal calls
+        calls += 1
+        return desugar(f)
+
+    monkeypatch.setattr(decide_module, "desugar", counting_desugar)
+    assert magari.cli.main(["check", "--hyp", "q = 1", "--concl", "Dp = p", "--oracle-bound", "2"]) == 1
+    capsys.readouterr()
+    assert calls == 4
+
+    calls = 0
+    f = parse("!p")
+    assert verify_precompleteness(1, f, oracle_bound=1).passed
+    queries = [q for w in (negation_witness(1, f), delta_witness(1, f)) for q in witness_queries(w)]
+    assert calls == sum(2 * len(q.hypotheses + q.conclusions) for q in queries)
+
+    # the cached compile is not a field: equality and hashing ignore it
+    q = query([("Dp", "p")], hyps=[("q", "1")])
+    decide(q)
+    assert q.transducer is q.transducer
+    fresh = query([("Dp", "p")], hyps=[("q", "1")])
+    assert q == fresh and hash(q) == hash(fresh)
 
 
 def _verdict_key(v):
