@@ -29,7 +29,7 @@ from .expressibility import (
     synthesize_term,
     verify_precompleteness,
 )
-from .formulas import NamedFormula, ParseError, format_formula, parse
+from .formulas import NamedFormula, ParseError, Var, format_formula, parse
 from .semantics import UnboundVariableError, evaluate, evaluate_closed
 
 _DEFAULT_ORACLE_BOUND = 5
@@ -69,7 +69,11 @@ def _parse_assignments(pairs: Sequence[str] | None) -> dict[str, Element]:
             raise ValueError(f"assignment must look like var=ELEMENT, got {item!r}")
         name, _, text = item.partition("=")
         name = name.strip()
-        if not name or not (name[0].isascii() and name[0].islower() and name[0].isalpha()):
+        try:
+            named = parse(name) == Var(name)  # formulas alone defines an identifier
+        except ParseError:
+            named = False
+        if not named:
             raise ValueError(f"bad variable name {name!r} in assignment {item!r}")
         out[name] = parse_element(text.strip())
     return out
@@ -238,7 +242,11 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
     if args.i_max < 1:
         raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
     bound = _resolve_bound(args.oracle_bound)
-    explicit = [parse(w) for w in args.witnesses.split(",")] if args.witnesses is not None else None
+    entries = args.witnesses.split(",") if args.witnesses is not None else []
+    for n, w in enumerate(entries, 1):
+        if not w.strip():
+            raise ValueError(f"--witnesses entry {n} of {len(entries)} is empty in {args.witnesses!r}")
+    explicit = [parse(w) for w in entries] if args.witnesses is not None else None
 
     cells = []
     all_passed = True

@@ -32,13 +32,15 @@ discovery order, so the returned lasso is deterministic.  A query compiles
 once, on first use, into QuasiQuery.transducer; decide and the independent
 brute_force oracle both read that one DAG of class-tagged nodes and share one
 table of Boolean connectives, _BOOL, each on its own lanes (ints of letters,
-numpy arrays of truncations).  The oracle gives each variable its own
-axis of the assignment box, so a node's arrays span only the variables it
-depends on; it walks the box in doubling slabs of the first variable's axis
-and stops at the first slab holding a hit.  It realizes delta by its own
-cumulative-conjunction scan, not by transducer memory; cross_check holds a
-decider verdict against it and require_replay holds a lasso against exact
-evaluation.
+numpy uint64 arrays of truncations).  An oracle lane packs a value truncated
+to width coordinates into one word: bit j is coordinate j+1 and bit width the
+tail, which a 1-tail fills down to the end of the prefix.  The oracle gives
+each variable its own axis of the assignment box, so a node's array spans
+only the variables it depends on; it walks the box in doubling slabs of the
+first variable's axis and stops at the first slab holding a hit.  It realizes
+delta by its own cumulative-conjunction scan, not by transducer memory;
+cross_check holds a decider verdict against it and require_replay holds a
+lasso against exact evaluation.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class Verdict:
 
 
 # Core connectives on bit vectors whose all-ones value is top: a bit per letter
-# in a transducer lane, the width mask or 1 for an oracle lane's coordinates or tail.
+# in a transducer lane, every coordinate bit and the tail bit in an oracle lane.
 _BOOL = {
     Not: lambda top, a: top ^ a,
     And: lambda top, a, b: a & b,
@@ -198,13 +200,17 @@ class Transducer:
 
 
 def compile_roots(roots: Sequence[Formula]) -> Transducer:
-    """Compile formulas jointly: desugared, constant folded, subterms shared, variables in name order."""
+    """Compile formulas jointly: constant folded, desugared, subterms shared, variables in name order."""
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     state = 0
+    built: dict[int, int] = {}  # by id: desugar shares sub-objects, so a tree walk is exponential
 
     def build(f: Formula) -> int:
         nonlocal state
+        got = built.get(id(f))
+        if got is not None:
+            return got
         cls = type(f)
         if cls is Var:
             key = (Var, f.name)
@@ -215,7 +221,7 @@ def compile_roots(roots: Sequence[Formula]) -> Transducer:
         elif cls is And or cls is Or or cls is Implies:
             key = (cls, build(f.lhs), build(f.rhs))
         else:
-            raise TypeError(f"unexpected node after desugar and fold: {f!r}")
+            raise TypeError(f"unexpected node after fold and desugar: {f!r}")
         got = index.get(key)
         if got is None:
             got = index[key] = len(nodes)
@@ -223,9 +229,11 @@ def compile_roots(roots: Sequence[Formula]) -> Transducer:
                 key += (state,)
                 state += 1
             nodes.append(key)
+        built[id(f)] = got
         return got
 
-    root_ids = tuple(build(constant_fold(desugar(r))) for r in roots)
+    normalized = [desugar(constant_fold(r)) for r in roots]  # alive until the end, so no id is reused
+    root_ids = tuple(build(f) for f in normalized)
     var_index = {v: i for i, v in enumerate(sorted(op[1] for op in nodes if op[0] is Var))}
     dag = tuple((Var, var_index[op[1]]) if op[0] is Var else op for op in nodes)
     cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
@@ -410,35 +418,29 @@ def replay(lasso: Lasso, query: QuasiQuery) -> bool:
 # === Independent brute-force oracle ===
 
 
-# Largest oracle grid in assignments x DAG nodes; a cell is two uint64 words.
+# Largest oracle grid in assignments x DAG nodes; a cell is one uint64 word.
 ORACLE_CELLS = 2**26
 # Assignments covered by the oracle's first slab, at least one first-axis index.
 _SLAB_LANES = 4096
 
 
 def _encode(e: Element, width: int) -> int:
-    mask = 0
-    for j, b in enumerate(e.prefix):
-        mask |= b << j
-    if e.tail:
-        mask |= ((1 << width) - 1) ^ ((1 << len(e.prefix)) - 1)
-    return mask
+    """e's oracle lane: bit j is coordinate j+1, bit width the tail; a 1-tail fills up from the prefix end."""
+    lane = sum(b << j for j, b in enumerate(e.prefix))
+    return lane | ((2 << width) - (1 << len(e.prefix))) if e.tail else lane
 
 
-def _delta_scan(m, t, width: int, full):
-    """Cumulative-conjunction delta on width-bit truncations (bit j = coordinate j+1)."""
-    if np.any((m == full) & (t == 0)):
+def _delta_scan(v, width: int):
+    """Cumulative-conjunction delta on packed lanes of width coordinates and a tail bit."""
+    full = np.uint64((1 << width) - 1)
+    if np.any(v == full):
         raise AssertionError("truncation width exceeded in oracle")
-    one = np.uint64(1)
-    pa = m
+    pa = v
     s = 1
-    while s < width:
-        fill = np.uint64((1 << s) - 1)
-        pa = pa & (((pa << np.uint64(s)) | fill) & full)
+    while s <= width:
+        pa = pa & ((pa << np.uint64(s)) | np.uint64((1 << s) - 1))
         s <<= 1
-    dm = ((pa << one) | one) & full
-    dt = (pa >> np.uint64(width - 1)) & t
-    return dm, dt
+    return ((pa << np.uint64(1)) | np.uint64(1)) & full | pa & np.uint64(1 << width)
 
 
 def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
@@ -451,7 +453,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     times DAG nodes exceed ORACLE_CELLS is refused with ValueError.
 
     The box is never built whole: variable i owns axis i of a k-dimensional
-    grid, so each node's arrays broadcast to the shape of the variables it
+    grid, so each node's array broadcasts to the shape of the variables it
     depends on.  Nodes free of the first variable are evaluated once, the
     rest over slabs of the first axis, the first covering at least
     _SLAB_LANES assignments and each later one twice the one before.  Slabs
@@ -476,7 +478,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     width = max(bound, dag.position_cap - 1) + max(chain, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
-    full = np.uint64((1 << width) - 1)
+    top = np.uint64((2 << width) - 1)
 
     n = 2 ** (bound + 1)  # len(elements_up_to(bound)), known before any is built
     k = len(dag.variables)
@@ -486,14 +488,9 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             f"oracle box of {total} assignments x {len(dag.nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
         )
     elements = elements_up_to(bound) if k else []
-    mask_tab = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
-    tail_tab = np.array([e.tail for e in elements], dtype=np.uint64)
-    var_vals = []
-    for i in range(k):
-        axis = (1,) * i + (n,) + (1,) * (k - 1 - i)
-        var_vals.append((mask_tab.reshape(axis), tail_tab.reshape(axis)))
+    table = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
+    var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
 
-    one = np.uint64(1)
     vals: list = [None] * len(dag.nodes)
 
     def evaluate(ids: list[int]) -> None:
@@ -503,29 +500,22 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             if kind is Var:
                 vals[i] = var_vals[op[1]]
             elif kind is ElementLit:
-                vals[i] = (np.uint64(_encode(op[1], width)), np.uint64(op[1].tail))
+                vals[i] = np.uint64(_encode(op[1], width))
             elif kind is Delta:
-                m, t = vals[op[1]]
-                vals[i] = _delta_scan(m, t, width, full)
+                vals[i] = _delta_scan(vals[op[1]], width)
             else:
-                fn = _BOOL[kind]
-                args = [vals[j] for j in op[1:]]
-                vals[i] = (fn(full, *(m for m, _ in args)), fn(one, *(t for _, t in args)))
+                vals[i] = _BOOL[kind](top, *(vals[j] for j in op[1:]))
 
-    def eq_bits(i: int):
-        m1, t1 = vals[dag.roots[2 * i]]
-        m2, t2 = vals[dag.roots[2 * i + 1]]
-        return (m1 == m2) & (t1 == t2)
-
-    nh = len(query.hypotheses)
+    nh2 = 2 * len(query.hypotheses)
 
     def first_hit(shape: tuple[int, ...]) -> tuple[int, ...] | None:
+        sides = [vals[r] for r in dag.roots]
         hyp_all = np.bool_(True)
-        for i in range(nh):
-            hyp_all = hyp_all & eq_bits(i)
+        for i in range(0, nh2, 2):
+            hyp_all = hyp_all & (sides[i] == sides[i + 1])
         viol = np.bool_(False)
-        for j in range(nh, nh + len(query.conclusions)):
-            viol = viol | ~eq_bits(j)
+        for j in range(nh2, len(sides), 2):
+            viol = viol | (sides[j] != sides[j + 1])
         hits = np.flatnonzero(np.broadcast_to(hyp_all & viol, shape))
         return np.unravel_index(int(hits[0]), shape) if hits.size else None
 
@@ -533,12 +523,12 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     if k == 0:
         return {} if first_hit(()) is not None else None
     moving = [i for i, dep in enumerate(on_first) if dep]
-    first_m, first_t = var_vals[0]
+    first = var_vals[0]
     rows = -(-_SLAB_LANES // n ** (k - 1))
     start = 0
     while start < n:
         stop = min(n, start + rows)
-        var_vals[0] = (first_m[start:stop], first_t[start:stop])
+        var_vals[0] = first[start:stop]
         for i in moving:  # free the previous slab before building this one
             vals[i] = None
         evaluate(moving)

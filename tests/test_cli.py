@@ -35,6 +35,19 @@ def test_eval_json(capsys):
     assert data["assignment"] == {"p": "10(1)"}
 
 
+@pytest.mark.parametrize("item", ["pQ=1(0)", "p-q=(0)", "p q=(1)"])
+def test_eval_refuses_assignment_names_no_formula_can_use(capsys, item):
+    code, out, err = run(capsys, "eval", "p", "--assign", "p=(0)", "--assign", item)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad variable name")
+
+
+def test_eval_accepts_identifier_with_digit_and_underscore(capsys):
+    code, out, _ = run(capsys, "eval", "x_1", "--assign", "x_1=(0)", "--json")
+    assert code == 0
+    assert json.loads(out)["assignment"] == {"x_1": "(0)"}
+
+
 def test_eval_unbound_variable_is_a_usage_error(capsys):
     code, out, err = run(capsys, "eval", "p & q", "--assign", "p=(1)")
     assert code == 2
@@ -233,6 +246,14 @@ def test_verify_paper_empty_witness_list_is_refused(capsys):
     assert code == 2
     assert "PASS" not in out
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("witnesses", ["!p,", ""])
+def test_verify_paper_empty_witness_entry_is_named(capsys, witnesses):
+    code, out, err = run(capsys, "verify-paper", "--i-max", "1", "--witnesses", witnesses)
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error: --witnesses entry") and "is empty" in err
 
 
 def test_verify_paper_member_witness_fails(capsys):

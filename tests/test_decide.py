@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -37,6 +38,7 @@ from magari import (
 from helpers import random_element, random_formula, random_query
 
 decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
+formulas_module = importlib.import_module("magari.formulas")
 
 
 def eq(l: str, r: str) -> Equation:
@@ -65,6 +67,31 @@ def test_compile_position_cap_tracks_literals():
     assert compile_roots([parse("p")]).position_cap == 1
     # D(D0) folds to the literal 11(0), prefix length 2
     assert compile_roots([parse("p & D(D0)")]).position_cap == 3
+
+
+def test_compile_normalizes_in_linear_time(monkeypatch):
+    # desugar shares sub-objects (@x boxes x three times over), so the compile
+    # folds the parser's tree first and then builds each shared object once
+    calls = 0
+    fold = formulas_module.constant_fold
+
+    def counting_fold(f):
+        nonlocal calls
+        calls += 1
+        return fold(f)
+
+    monkeypatch.setattr(formulas_module, "constant_fold", counting_fold)
+    monkeypatch.setattr(decide_module, "constant_fold", counting_fold)
+    assert len(compile_roots([parse("@@@@p")]).nodes) == 1 + 4 * 8
+    assert calls == 5  # one per parse-tree node
+
+    iff = "p"
+    for _ in range(16):
+        iff = f"({iff} <-> q)"
+    started = time.perf_counter()
+    for text in ("@" * 7 + "p", "#" * 16 + "p", iff, f"@#({iff}) <-> @@@#p"):
+        assert decide(query([(text, text)])).valid
+    assert time.perf_counter() - started < 10  # well under 1 s; a tree walk takes minutes
 
 
 def test_transducer_streams_delta():
@@ -253,6 +280,17 @@ def test_brute_force_width_guard():
         brute_force(query([("Dp", "p")]), 80)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_brute_force_at_the_widest_lane(bound):
+    # the literal D^59 0 = 1^59(0) caps positions at 60 and one Delta sits
+    # above it, so the width is 62 and each lane's tail rides in bit 62
+    q = query([(f"D(p & {'D' * 59}0)", "Dp")])
+    found = brute_force(q, bound)
+    assert found is not None and found == _reference_first_hit(q, bound)
+    with pytest.raises(ValueError, match="width 63 exceeds 62 bits"):
+        brute_force(query([(f"D(p & {'D' * 60}0)", "Dp")]), bound)
+
+
 def test_decide_matches_brute_force_random():
     rng = random.Random(313)
     for _ in range(120):
@@ -338,9 +376,9 @@ def test_brute_force_scans_every_delta_array(monkeypatch):
     scanned = []
     scan = decide_module._delta_scan
 
-    def spy(m, t, width, full):
-        scanned.append(m.size)
-        return scan(m, t, width, full)
+    def spy(v, width):
+        scanned.append(v.size)
+        return scan(v, width)
 
     monkeypatch.setattr(decide_module, "_delta_scan", spy)
     assert brute_force(query([("D(Dp -> p) & Dq", "Dp & Dq")]), 1) is None
