@@ -249,21 +249,19 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
     oracle_bound is given, each entailment verdict is cross-checked against
     the exhaustive oracle in that box and disagreement fails the report.
     """
-    if preserves(i, f):
+    a = class_constant(i)
+    c = evaluate(f, {v: a for v in free_vars(f)})
+    if c == a:
         return PrecompletenessReport(class_index=i, formula=f, outside_class=False)
 
-    a = class_constant(i)
-    c = off_class_constant(i, f)
     wn = negation_witness(i, f)
     wd = delta_witness(i, f)
-    queries: dict[str, QuasiQuery] = {}
-    queries["negation_forward"], queries["negation_backward"] = witness_queries(wn)
-    queries["delta_forward"], queries["delta_backward"] = witness_queries(wd)
+    names = ("negation_forward", "negation_backward", "delta_forward", "delta_backward")
+    queries = dict(zip(names, witness_queries(wn) + witness_queries(wd)))
     verdicts = {name: decide(q) for name, q in queries.items()}
 
     for name, q in queries.items():
         require_replay(q, verdicts[name])
-    lassos = [v.lasso for v in verdicts.values() if v.lasso is not None]
 
     oracle_agreed = None if oracle_bound is None else all(
         cross_check(q, verdicts[name], oracle_bound)[1] is None for name, q in queries.items()
@@ -271,27 +269,18 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
 
     in_n = preserves(i, wn.pairs[0].lhs)
     in_d = preserves(i, wd.pairs[0].lhs)
-    passed = (
-        c != a
-        and in_n
-        and in_d
-        and all(v.valid for v in verdicts.values())
-        and oracle_agreed in (None, True)
-    )
+    passed = in_n and in_d and all(v.valid for v in verdicts.values()) and oracle_agreed in (None, True)
     return PrecompletenessReport(
         class_index=i,
         formula=f,
         outside_class=True,
         constant=c,
-        constant_differs=c != a,
+        constant_differs=True,
         negation_wrapper_in_class=in_n,
         delta_wrapper_in_class=in_d,
-        negation_forward=verdicts["negation_forward"],
-        negation_backward=verdicts["negation_backward"],
-        delta_forward=verdicts["delta_forward"],
-        delta_backward=verdicts["delta_backward"],
+        **verdicts,
         oracle_agreed=oracle_agreed,
-        counterexamples=tuple(lassos),
+        counterexamples=tuple(v.lasso for v in verdicts.values() if v.lasso is not None),
         passed=passed,
     )
 

@@ -21,6 +21,7 @@ parser never emits them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -145,48 +146,30 @@ _ALIASES = {
     "↔": "<->",
 }
 
-_SINGLE = set("!&|()01D#@")
+_SYMBOLS = {sym for sym, _, _ in _SYNTAX.values()} | set(_ALIASES)
+_MULTI = sorted((s for s in _SYMBOLS if len(s) > 1), key=lambda s: (-len(s), s))  # longest first
+# (space)(symbol | identifier | a character that starts no token); findall covers the text
+_TOKEN = re.compile(
+    r"(\s*)(?:(%s|[()01%s])|([a-z][a-z0-9_]*)|(.))"
+    % ("|".join(map(re.escape, _MULTI)), re.escape("".join(sorted(s for s in _SYMBOLS if len(s) == 1)))),
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _ALIASES:
-            tokens.append((_ALIASES[c], i))
-            i += 1
-            continue
-        if c in _SINGLE:
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(("->", i))
-                i += 2
-                continue
-            raise ParseError("expected '->'", i)
-        if c == "<":
-            if text[i : i + 3] == "<->":
-                tokens.append(("<->", i))
-                i += 3
-                continue
-            raise ParseError("expected '<->'", i)
-        if c.isascii() and c.islower() and c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_") and not text[j].isupper()):
-                j += 1
-            tokens.append(("ident:" + text[i:j], i))
-            i = j
-            continue
-        if c.isascii() and c.isupper():
-            raise ParseError(f"reserved or unknown token {c!r}, variables are lowercase", i)
-        raise ParseError(f"unexpected character {c!r}", i)
+    for space, symbol, ident, bad in _TOKEN.findall(text.rstrip()):  # else trailing space lands in `bad`
+        i += len(space)
+        if bad:
+            expected = [s for s in _MULTI if s[0] == bad]
+            if expected:
+                raise ParseError(f"expected {expected[0]!r}", i)
+            if bad.isascii() and bad.isupper():
+                raise ParseError(f"reserved or unknown token {bad!r}, variables are lowercase", i)
+            raise ParseError(f"unexpected character {bad!r}", i)
+        tokens.append((_ALIASES.get(symbol, symbol), i) if symbol else ("ident:" + ident, i))
+        i += len(symbol or ident)
     return tokens
 
 
@@ -212,7 +195,7 @@ class _Parser:
     def parse(self) -> Formula:
         f = self.infix(_LEVEL_IFF)
         if self.pos < len(self.tokens):
-            raise ParseError(f"unexpected trailing token {self.peek()!r}", self.here())
+            raise ParseError(f"unexpected trailing token {self.peek().removeprefix('ident:')!r}", self.here())
         return f
 
     def infix(self, level: int) -> Formula:
@@ -383,20 +366,21 @@ def modal_depth(f: Formula) -> int:
 
 def delta_nodes(f: Formula) -> int:
     """Number of distinct Delta subterms of desugar(f); shared subterms count once."""
-    distinct: set[Formula] = set()
-    seen: set[int] = set()
+    index: dict[tuple, int] = {}
+    built: dict[int, int] = {}  # by id: desugar shares sub-objects, and hashing one re-walks its whole tree
 
-    def walk(g: Formula) -> None:
-        if id(g) in seen:
-            return
-        seen.add(id(g))
-        if isinstance(g, Delta):
-            distinct.add(g)
-        if isinstance(g, _UNARY):
-            walk(g.arg)
-        elif isinstance(g, _BINARY):
-            walk(g.lhs)
-            walk(g.rhs)
+    def intern(g: Formula) -> int:
+        got = built.get(id(g))
+        if got is None:
+            if isinstance(g, _UNARY):
+                key = (type(g), intern(g.arg))
+            elif isinstance(g, _BINARY):
+                key = (type(g), intern(g.lhs), intern(g.rhs))
+            else:
+                key = (type(g), g)
+            got = built[id(g)] = index.setdefault(key, len(index))
+        return got
 
-    walk(desugar(f))
-    return len(distinct)
+    root = desugar(f)  # alive until the walk ends, so no id is reused
+    intern(root)
+    return sum(key[0] is Delta for key in index)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -68,6 +69,7 @@ def test_parse_unicode_aliases():
     assert parse("p ⊃ q") == parse("p -> q")
     assert parse("p ∼ q") == parse("p <-> q")
     assert parse("p ↔ q") == parse("p <-> q")
+    assert parse("p\u00a0&\u2003q  ") == parse("p & q")
 
 
 def test_parse_identifiers():
@@ -79,19 +81,23 @@ def test_parse_identifiers():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as exc:
-        parse("p & ")
-    assert exc.value.position == 4
-    with pytest.raises(ParseError) as exc:
-        parse("p $ q")
-    assert exc.value.position == 2
-    with pytest.raises(ParseError) as exc:
-        parse("(p & q")
-    assert exc.value.position == 6
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("p q")
+    rows = [
+        ("p & ", "unexpected end of input", 4),
+        ("p $ q", "unexpected character '$'", 2),
+        ("(p & q", "expected ')'", 6),
+        ("", "unexpected end of input", 0),
+        ("p q", "unexpected trailing token 'q'", 2),
+        ("p - q", "expected '->'", 2),
+        ("p <- q", "expected '<->'", 2),
+        ("pQ", "reserved or unknown token 'Q', variables are lowercase", 1),
+        ("p é", "unexpected character 'é'", 2),
+        ("p\u200bq", "unexpected character '\\u200b'", 1),
+        ("  ", "unexpected end of input", 2),
+    ]
+    for text, message, position in rows:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position), text
 
 
 def test_format_examples():
@@ -164,6 +170,12 @@ def test_delta_nodes_counts_distinct_shared():
     assert delta_nodes(parse("#p")) == 1
     assert delta_nodes(parse("@p")) == 3
     assert delta_nodes(parse("p & q")) == 0
+
+
+def test_delta_nodes_is_linear_in_nested_nabla():
+    start = time.perf_counter()
+    assert delta_nodes(parse("@" * 8 + "p")) == 24
+    assert time.perf_counter() - start < 2.0
 
 
 def test_constant_fold_closed_terms():
