@@ -312,12 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("closure", help="enumerate semantic classes generated by a signature")
+    p = sub.add_parser("closure", help="enumerate semantic classes generated by a signature; "
+                       "formulas share a class when their canonical minimal machines are equal")
     p.add_argument("--sigma", required=True, metavar="FILE",
                    help="signature file, one 'name := formula' per line")
-    p.add_argument("--vars", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--vars", type=int, default=0, metavar="N",
+                   help="start from the first N of the variables p, q, r, ...")
+    p.add_argument("--depth", type=int, default=3, help="rounds of superposition")
+    p.add_argument("--cap", type=int, default=64, help="stop, flagged truncated, past this many classes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_closure)
 

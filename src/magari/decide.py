@@ -41,6 +41,9 @@ first variable's axis and stops at the first slab holding a hit.  It realizes
 delta by its own cumulative-conjunction scan, not by transducer memory;
 cross_check holds a decider verdict against it and require_replay holds a
 lasso against exact evaluation.
+
+machine_key names the minimal machine of one formula, so that equal
+formulas, and only they, get equal keys without a decide.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, canonicalize, coordinate, elements_up_to
+from .algebra import Element, canonicalize, coordinate
 from .formulas import (
     And,
     Delta,
@@ -199,8 +202,11 @@ class Transducer:
         return rows
 
 
-def compile_roots(roots: Sequence[Formula]) -> Transducer:
-    """Compile formulas jointly: constant folded, desugared, subterms shared, variables in name order."""
+def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = None) -> Transducer:
+    """Compile formulas jointly: constant folded, desugared, subterms shared.
+
+    Letters read variables in the given order, which must cover every free
+    variable (ValueError otherwise), or by default the free variables in name order."""
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     state = 0
@@ -234,15 +240,74 @@ def compile_roots(roots: Sequence[Formula]) -> Transducer:
 
     normalized = [desugar(constant_fold(r)) for r in roots]  # alive until the end, so no id is reused
     root_ids = tuple(build(f) for f in normalized)
-    var_index = {v: i for i, v in enumerate(sorted(op[1] for op in nodes if op[0] is Var))}
+    free = sorted(op[1] for op in nodes if op[0] is Var)
+    var_index = {v: i for i, v in enumerate(free if variables is None else variables)}
+    missing = [v for v in free if v not in var_index]
+    if missing:
+        raise ValueError(f"variable order {tuple(variables)} misses {', '.join(missing)}")
     dag = tuple((Var, var_index[op[1]]) if op[0] is Var else op for op in nodes)
     cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
     return Transducer(dag, root_ids, tuple(var_index), state, cap)
 
 
-# === Quasi-identity decision ===
+# === Canonical minimal machines ===
 
 _Config = tuple[int, int]  # (memory bits, capped position)
+
+
+def machine_key(f: Formula, variables: Sequence[str]) -> tuple:
+    """A key that two formulas over the same variables share exactly when
+    they are equal on the carrier.
+
+    f compiles alone, its letters over variables.  Its configurations
+    reachable from the start, listed breadth-first in letter order, each with
+    its output lane and one successor per letter, form a Mealy machine.
+    Moore refinement merges the equivalent ones and numbers each block where
+    it first appears in that list, which is breadth-first order on the
+    minimal machine: a block is first reached from the first configuration of
+    an earlier block.  The key lists (output lane, successor numbers) per
+    block in that order.  Output k depends only on letters 1..k and every
+    finite word extends to an ultimately constant assignment, so equal
+    formulas are equivalent machines; a minimal machine is unique up to
+    isomorphism, and the numbering fixes the isomorphism.
+    """
+    t = compile_roots([f], variables)
+    _, lanes = _alphabet(len(t.variables))
+    top = lanes[0]
+    n_letters = top.bit_length()
+    width = range(t.state_width)
+    start: _Config = (t.initial_state, 1)
+    index = {start: 0}
+    configs = [start]
+    out_lane: list[int] = []
+    succ: list[list[int]] = []
+    for state, pos in configs:  # grows while it is read: breadth-first
+        outs, keep = t.step([top & -(state >> b & 1) for b in width], pos, lanes)
+        npos = t.next_position(pos)
+        row = []
+        for letter in range(n_letters):
+            s = (sum(1 << b for b in width if keep[b] >> letter & 1), npos)
+            if s not in index:
+                index[s] = len(configs)
+                configs.append(s)
+            row.append(index[s])
+        out_lane.append(outs[0])
+        succ.append(row)
+
+    # Moore refinement by (output lane, successor blocks).  Blocks are numbered
+    # in order of first appearance, so equal partitions are equal lists.
+    block = [0] * len(configs)
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = [
+            ids.setdefault((out_lane[c], tuple(block[s] for s in row)), len(ids)) for c, row in enumerate(succ)
+        ]
+        if refined == block:
+            return tuple(ids)
+        block = refined
+
+
+# === Quasi-identity decision ===
 
 
 def decide(query: QuasiQuery) -> Verdict:
@@ -430,6 +495,30 @@ def _encode(e: Element, width: int) -> int:
     return lane | ((2 << width) - (1 << len(e.prefix))) if e.tail else lane
 
 
+def _lane_table(bound: int, width: int):
+    """The oracle lanes of elements_up_to(bound), in its order, built without an Element.
+
+    Entries 2**m up to 2**(m+1) are the prefixes of length m in product order,
+    each followed by the tail that differs from its last bit: prefix r of
+    length m-1 gives r then 0 with a 1-tail, and r then 1 with a 0-tail."""
+    table = np.empty(2 << bound, dtype=np.uint64)
+    table[:2] = (0, (2 << width) - 1)
+    for m in range(1, bound + 1):
+        prefixes = table[1 << (m - 1) : 1 << m] & np.uint64((1 << (m - 1)) - 1)
+        level = table[1 << m : 2 << m].reshape(-1, 2)
+        level[:, 0] = prefixes | np.uint64((2 << width) - (1 << m))
+        level[:, 1] = prefixes | np.uint64(1 << (m - 1))
+    return table
+
+
+def _element_at(c: int) -> Element:
+    """Entry c of elements_up_to's order: the bits of c after its leading 1, then the other tail."""
+    if c < 2:
+        return Element((), c)
+    bits = tuple(int(b) for b in bin(c)[3:])
+    return Element(bits, 1 - bits[-1])
+
+
 def _delta_scan(v, width: int):
     """Cumulative-conjunction delta on packed lanes of width coordinates and a tail bit."""
     full = np.uint64((1 << width) - 1)
@@ -487,8 +576,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         raise ValueError(
             f"oracle box of {total} assignments x {len(dag.nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
         )
-    elements = elements_up_to(bound) if k else []
-    table = np.array([_encode(e, width) for e in elements], dtype=np.uint64)
+    table = _lane_table(bound, width) if k else None
     var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
 
     vals: list = [None] * len(dag.nodes)
@@ -535,7 +623,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         coords = first_hit((stop - start,) + (n,) * (k - 1))
         if coords is not None:
             coords = (start + int(coords[0]),) + coords[1:]
-            return {v: elements[int(c)] for v, c in zip(dag.variables, coords)}
+            return {v: _element_at(int(c)) for v, c in zip(dag.variables, coords)}
         start = stop
         rows *= 2
     return None

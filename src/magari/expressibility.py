@@ -15,7 +15,8 @@ entailments are checked by the exact decision procedure, which is what
 verify_precompleteness reports on.
 
 Also here: pairwise class separation, semantic closure enumeration for a
-signature by bounded superposition, and synthesis of a closed
+signature by bounded superposition, its classes told apart by canonical
+minimal machines rather than decided equations, and synthesis of a closed
 {0, delta, not, and, or} term denoting any given element.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Element, neg_delta_power
-from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, require_replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, machine_key, require_replay
 from .formulas import (
     And,
     Const,
@@ -296,17 +297,14 @@ class ClosureResult:
     truncated: bool
 
 
-def _equivalent(f: Formula, g: Formula) -> bool:
-    return decide(QuasiQuery((), (Equation(f, g),))).valid
-
-
 def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, cap: int) -> ClosureResult:
     """Representatives of the semantic classes generated from nvars variables
     by superposing the signature formulas, up to the given number of rounds.
 
-    Identification is semantic (decided equality on the free algebra).  When
-    more than cap classes appear the enumeration stops early and the result
-    is flagged truncated.
+    Identification is semantic: formulas equal on the free algebra share a
+    class, found by looking up the machine_key of each candidate over the
+    pool's first nvars variables in a set.  When more than cap classes
+    appear the enumeration stops early and the result is flagged truncated.
     """
     if nvars < 0 or nvars > len(_VAR_POOL):
         raise ValueError(f"nvars must be between 0 and {len(_VAR_POOL)}")
@@ -315,18 +313,22 @@ def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, c
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
+    variables = tuple(_VAR_POOL[:nvars])
     classes: list[Formula] = []
+    keys: set[tuple] = set()
 
     def admit(f: Formula) -> bool:
         # returns False when the cap was hit
-        if any(_equivalent(f, g) for g in classes):
+        key = machine_key(f, variables)
+        if key in keys:
             return True
         if len(classes) >= cap:
             return False
         classes.append(f)
+        keys.add(key)
         return True
 
-    for name in _VAR_POOL[:nvars]:
+    for name in variables:
         if not admit(Var(name)):
             return ClosureResult(tuple(classes), True)
     for entry in sigma:

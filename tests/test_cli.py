@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -348,6 +352,26 @@ def test_check_oracle_box_over_budget_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "--concl", "p & q = q & r", "--oracle-bound", "8")
     assert code == 2
     assert "error:" in err and "budget" in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_check_oracle_box_under_budget_fits_in_two_gib():
+    # one node and 2**25 assignments pass the cell budget; the lane table must
+    # then fit in memory, never a kill or a MemoryError turned into exit 3
+    script = "import sys; from magari.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(magari.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "check", "--concl", "p = p", "--oracle-bound", "24"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode in (0, 2), done.stderr
+    if done.returncode == 0:
+        assert "verdict: Valid" in done.stdout and "oracle_counterexample: None" in done.stdout
+    else:
+        assert done.stderr.startswith("error:") and "budget" in done.stderr
 
 
 def test_check_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):

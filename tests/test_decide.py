@@ -15,6 +15,7 @@ from magari import (
     Equation,
     Lasso,
     QuasiQuery,
+    Var,
     Verdict,
     brute_force,
     compile_roots,
@@ -112,6 +113,14 @@ def test_transducer_agrees_with_evaluation():
         rows = t.run(a, 32)
         for k in range(1, 33):
             assert rows[k - 1] == tuple(coordinate(v, k) for v in vals)
+
+
+def test_compile_takes_a_variable_order_covering_every_free_variable():
+    t = compile_roots([parse("q & Dq")], ("p", "q", "r"))
+    assert t.variables == ("p", "q", "r")
+    assert t.nodes[0] == (Var, 1)
+    with pytest.raises(ValueError, match="misses q"):
+        compile_roots([parse("p & q")], ("p",))
 
 
 def test_transducer_run_reports_unbound_variable():
@@ -313,13 +322,22 @@ def test_brute_force_refuses_box_over_cell_budget():
 
 def test_brute_force_checks_budget_before_building_elements(monkeypatch):
     # 2**31 elements per variable at bound 30, and none needed for a closed query
-    def refuse(bound):
-        raise AssertionError(f"elements_up_to({bound}) built")
+    def refuse(bound, width):
+        raise AssertionError(f"lane table for bound {bound} built")
 
-    monkeypatch.setattr(decide_module, "elements_up_to", refuse)
+    monkeypatch.setattr(decide_module, "_lane_table", refuse)
     with pytest.raises(ValueError, match="budget"):
         brute_force(query([("p", "q")]), 30)
     assert brute_force(query([("1", "1")]), 40) is None
+
+
+@pytest.mark.parametrize("bound", range(8))
+def test_lane_table_and_hit_decoding_follow_elements_up_to(bound):
+    elements = elements_up_to(bound)
+    for width in (bound + 1, 62):
+        table = decide_module._lane_table(bound, width)
+        assert table.tolist() == [decide_module._encode(e, width) for e in elements]
+    assert [decide_module._element_at(c) for c in range(len(elements))] == elements
 
 
 def _query_vars(q: QuasiQuery) -> list[str]:

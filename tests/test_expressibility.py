@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,10 +15,12 @@ from magari import (
     Not,
     Or,
     ParametricWitness,
+    QuasiQuery,
     Var,
     Verdict,
     check_parametric_witness,
     class_constant,
+    decide,
     delta_definer,
     delta_power_term,
     delta_witness,
@@ -244,6 +247,51 @@ def test_closure_cap_truncates():
     got = enumerate_closure(sig, 0, 6, 3)
     assert got.truncated
     assert len(got.classes) == 3
+
+
+# The unary and binary shapes of the closure benchmark's signature pool
+_UNARY_SHAPES = ("Dp", "!p", "#p", "@p", "!Dp", "Dp -> p")
+_BINARY_SHAPES = ("p & q", "p | q", "p -> q", "p <-> q", "D(p & q)", "p & Dq", "D(p -> q)", "Dp -> q")
+
+
+def _closure_by_pairwise_decides(sigma, nvars, depth, cap):
+    # reference: a candidate is new when decide refutes its equality with every class so far
+    classes = []
+
+    def admit(f):
+        if any(decide(QuasiQuery((), (Equation(f, g),))).valid for g in classes):
+            return True
+        if len(classes) >= cap:
+            return False
+        classes.append(f)
+        return True
+
+    for f in [Var(v) for v in "pqrstuvwxyz"[:nvars]] + [e.formula for e in sigma if not free_vars(e.formula)]:
+        if not admit(f):
+            return tuple(classes), True
+    for _ in range(depth):
+        frontier, before = list(classes), len(classes)
+        for entry in sigma:
+            params = free_vars(entry.formula)
+            if not params:
+                continue
+            for combo in itertools.product(frontier, repeat=len(params)):
+                if not admit(substitute(entry.formula, dict(zip(params, combo)))):
+                    return tuple(classes), True
+        if len(classes) == before:
+            break
+    return tuple(classes), False
+
+
+@pytest.mark.parametrize("cap", [8, 64])
+def test_closure_matches_pairwise_decides(cap):
+    flags = set()
+    for u, b in itertools.product(_UNARY_SHAPES, _BINARY_SHAPES):
+        sigma = (NamedFormula("u", parse(u)), NamedFormula("b", parse(b)))
+        got = enumerate_closure(sigma, 2, 2, cap)
+        assert (got.classes, got.truncated) == _closure_by_pairwise_decides(sigma, 2, 2, cap), (u, b)
+        flags.add(got.truncated)
+    assert flags == ({False, True} if cap == 8 else {False})
 
 
 def test_synthesize_round_trip_examples():

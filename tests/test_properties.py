@@ -3,7 +3,7 @@ evaluation, decider, oracle and replay agreeing, and the CLI's exit codes."""
 
 import contextlib
 import io
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -31,10 +31,13 @@ from magari import (
     decide,
     evaluate,
     format_formula,
+    machine_key,
     parse,
     require_replay,
 )
 from magari.cli import main
+
+from helpers import random_formula
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -92,6 +95,18 @@ def test_decider_oracle_and_replay_agree(q):
     v = decide(q)
     require_replay(q, v)
     assert cross_check(q, v, 2)[1] is None
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_machine_keys_agree_with_decided_equality(rng, nvars):
+    variables = ("p", "q", "r")[:nvars]
+    fs = [random_formula(rng, list(variables), rng.randint(1, 7)) for _ in range(4)]
+    # equal to fs[0] by absorption and to fs[2] by double negation, so equal pairs occur
+    fs += [Or(fs[0], And(fs[0], fs[1])), Not(Not(fs[2]))]
+    keys = [machine_key(f, variables) for f in fs]
+    for i, j in combinations(range(len(fs)), 2):
+        assert (keys[i] == keys[j]) == decide(QuasiQuery((), (Equation(fs[i], fs[j]),))).valid
 
 
 # Grammar tokens, Unicode aliases, '=', stray characters and element texts,
