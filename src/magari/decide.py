@@ -8,15 +8,15 @@ per coordinate) produces the coordinates of every root's value in lockstep.
 
 A quasi-identity "hypotheses entail conclusions" fails exactly when some
 ultimately constant assignment satisfies every hypothesis equation at every
-coordinate while some conclusion equation differs somewhere.  Memory bits
-only ever decrease and literal streams are constant past their prefixes, so
-(memory bits, capped step index) ranges over a finite configuration space and
-the search below is exact on the intended carrier.  A configuration is SAFE
+coordinate while some conclusion equation differs somewhere.  Terms compile as
+parsed, closed subterms included, so the memory bits alone are the
+configuration; they only ever decrease, so the configuration space is finite
+and the search below is exact on the intended carrier.  A configuration is SAFE
 when some single letter, repeated, keeps the hypotheses true through
-stabilization (reached within state-width plus position-cap steps, by
-monotonicity) and at the resulting fixpoint.  A counterexample is a
-hypothesis-true transition that violates some conclusion and whose successor
-reaches a SAFE configuration along hypothesis-true transitions.
+stabilization (reached within state-width steps, by monotonicity) and at the
+resulting fixpoint.  A counterexample is a hypothesis-true transition that
+violates some conclusion and whose successor reaches a SAFE configuration
+along hypothesis-true transitions.
 
 decide finds the first one on the fly: a breadth-first search from the
 all-ones start along hypothesis-true transitions that looks for a path to SAFE
@@ -58,14 +58,14 @@ import numpy as np
 from .algebra import Element, canonicalize, coordinate
 from .formulas import (
     And,
+    Const,
     Delta,
-    ElementLit,
     Formula,
     Implies,
     Not,
     Or,
     Var,
-    constant_fold,
+    constant_fold,  # not called here; perfbench's tracer rebinds it by name
     desugar,
 )
 from .semantics import UnboundVariableError, holds_equation
@@ -146,27 +146,24 @@ class Transducer:
     """Letter-to-letter machine over a compiled term DAG, producing root
     coordinates step by step."""
 
-    # nodes tagged by formula class: (Var, vi) (ElementLit, Element) (Not, a)
-    # (And|Or|Implies, a, b) (Delta, a, state_bit); children precede parents
+    # nodes tagged by formula class: (Var, vi) (Const, 0 or 1) (Not, a)
+    # (And|Or|Implies, a, b) (Delta, a, state_bit); children precede parents.
+    # Every Delta node, closed or open, owns a memory bit.
     nodes: tuple[tuple, ...]
     roots: tuple[int, ...]
     variables: tuple[str, ...]
     state_width: int
-    position_cap: int
 
     @property
     def initial_state(self) -> int:
         return (1 << self.state_width) - 1
 
-    def next_position(self, position: int) -> int:
-        return min(position + 1, self.position_cap)
-
-    def step(self, memory: Sequence[int], position: int, lanes: Lanes) -> tuple[tuple[int, ...], list[int]]:
+    def step(self, memory: Sequence[int], top: int, var_masks: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
         """One step for every letter at once: each root's output lane and each
-        memory bit's keep lane.  lanes is top and a mask per variable, memory a
-        lane per memory bit.  A delta node emits its memory bit (the past
-        conjunction, 1 at step 1) and keeps it where its child outputs 1."""
-        top, var_masks = lanes
+        memory bit's keep lane.  top is the all-letters lane, var_masks a mask
+        per variable and memory a lane per memory bit.  A delta node emits its
+        memory bit (the past conjunction, 1 at step 1) and keeps it where its
+        child outputs 1."""
         nodes = self.nodes
         out = [0] * len(nodes)
         keep = [0] * self.state_width
@@ -177,10 +174,8 @@ class Transducer:
                 keep[op[2]] = cur & out[op[1]]
             elif kind is Var:
                 out[i] = var_masks[op[1]]
-            elif kind is ElementLit:
-                e = op[1]
-                bit = e.prefix[position - 1] if position <= len(e.prefix) else e.tail
-                out[i] = top if bit else 0
+            elif kind is Const:
+                out[i] = top if op[1] else 0
             elif kind is Not:
                 out[i] = _BOOL[Not](top, out[op[1]])
             else:
@@ -190,20 +185,19 @@ class Transducer:
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
         """Root outputs for steps 1..n under the given element assignment."""
         rows = []
-        memory, pos = [1] * self.state_width, 1
+        memory = [1] * self.state_width
         for k in range(1, n + 1):
             try:
                 letter = tuple(coordinate(assignment[v], k) for v in self.variables)
             except KeyError as e:
                 raise UnboundVariableError(e.args[0]) from None
-            outs, memory = self.step(memory, pos, (1, letter))
+            outs, memory = self.step(memory, 1, letter)
             rows.append(outs)
-            pos = self.next_position(pos)
         return rows
 
 
 def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = None) -> Transducer:
-    """Compile formulas jointly: constant folded, desugared, subterms shared.
+    """Compile formulas jointly: desugared, subterms shared, closed ones too.
 
     Letters read variables in the given order, which must cover every free
     variable (ValueError otherwise), or by default the free variables in name order."""
@@ -220,14 +214,14 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
         cls = type(f)
         if cls is Var:
             key = (Var, f.name)
-        elif cls is ElementLit:
-            key = (ElementLit, f.element)
+        elif cls is Const:
+            key = (Const, f.value)
         elif cls is Not or cls is Delta:
             key = (cls, build(f.arg))
         elif cls is And or cls is Or or cls is Implies:
             key = (cls, build(f.lhs), build(f.rhs))
         else:
-            raise TypeError(f"unexpected node after fold and desugar: {f!r}")
+            raise TypeError(f"unexpected node after desugar: {f!r}")
         got = index.get(key)
         if got is None:
             got = index[key] = len(nodes)
@@ -238,7 +232,7 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
         built[id(f)] = got
         return got
 
-    normalized = [desugar(constant_fold(r)) for r in roots]  # alive until the end, so no id is reused
+    normalized = [desugar(r) for r in roots]  # alive until the end, so no id is reused
     root_ids = tuple(build(f) for f in normalized)
     free = sorted(op[1] for op in nodes if op[0] is Var)
     var_index = {v: i for i, v in enumerate(free if variables is None else variables)}
@@ -246,13 +240,15 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
     if missing:
         raise ValueError(f"variable order {tuple(variables)} misses {', '.join(missing)}")
     dag = tuple((Var, var_index[op[1]]) if op[0] is Var else op for op in nodes)
-    cap = 1 + max((len(op[1].prefix) for op in nodes if op[0] is ElementLit), default=0)
-    return Transducer(dag, root_ids, tuple(var_index), state, cap)
+    return Transducer(dag, root_ids, tuple(var_index), state)
+
+
+def delta_nodes(f: Formula) -> int:
+    """Number of distinct Delta subterms of desugar(f); shared subterms count once."""
+    return compile_roots([f]).state_width
 
 
 # === Canonical minimal machines ===
-
-_Config = tuple[int, int]  # (memory bits, capped position)
 
 
 def machine_key(f: Formula, variables: Sequence[str]) -> tuple:
@@ -276,17 +272,15 @@ def machine_key(f: Formula, variables: Sequence[str]) -> tuple:
     top = lanes[0]
     n_letters = top.bit_length()
     width = range(t.state_width)
-    start: _Config = (t.initial_state, 1)
-    index = {start: 0}
-    configs = [start]
+    index = {t.initial_state: 0}
+    configs = [t.initial_state]
     out_lane: list[int] = []
     succ: list[list[int]] = []
-    for state, pos in configs:  # grows while it is read: breadth-first
-        outs, keep = t.step([top & -(state >> b & 1) for b in width], pos, lanes)
-        npos = t.next_position(pos)
+    for state in configs:  # grows while it is read: breadth-first
+        outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
         row = []
         for letter in range(n_letters):
-            s = (sum(1 << b for b in width if keep[b] >> letter & 1), npos)
+            s = sum(1 << b for b in width if keep[b] >> letter & 1)
             if s not in index:
                 index[s] = len(configs)
                 configs.append(s)
@@ -328,18 +322,17 @@ def decide(query: QuasiQuery) -> Verdict:
             viol |= outs[j] ^ outs[j + 1]
         return hyp, viol & hyp
 
-    memo: dict[_Config, list[tuple[Letter, _Config, bool]]] = {}
+    memo: dict[int, list[tuple[Letter, int, bool]]] = {}
 
-    def edges(cfg: _Config) -> list[tuple[Letter, _Config, bool]]:
-        """Hypothesis-true transitions out of cfg in letter order, one (lowest
-        letter, successor, violates) per group of letters sharing the last two."""
-        got = memo.get(cfg)
+    def edges(state: int) -> list[tuple[Letter, int, bool]]:
+        """Hypothesis-true transitions out of a configuration in letter order, one
+        (lowest letter, successor, violates) per group of letters sharing the last two."""
+        got = memo.get(state)
         if got is not None:
             return got
-        state, pos = cfg
-        outs, keep = t.step([top & -(state >> b & 1) for b in width], pos, lanes)
+        outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
         hyp, viol = split(outs)
-        got = memo[cfg] = []
+        got = memo[state] = []
         if not hyp:
             return got
         # (letters, successor) pairs, split by each partly kept memory bit and by viol
@@ -347,50 +340,46 @@ def decide(query: QuasiQuery) -> Verdict:
         for k, bit in [(keep[b] & hyp, 1 << b) for b in width] + [(viol, 0)]:
             if k and k != hyp:
                 groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
-        npos = t.next_position(pos)
         for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
-            got.append((letters[lo.bit_length() - 1], (s, npos), v != 0))
+            got.append((letters[lo.bit_length() - 1], s, v != 0))
         return got
 
-    max_iter = t.position_cap + t.state_width + 2
-    safe_memo: dict[_Config, Letter | None] = {}
+    max_iter = t.state_width + 2
+    safe_memo: dict[int, Letter | None] = {}
 
-    def safe_letter(cfg: _Config) -> Letter | None:
-        """Lowest letter that, repeated from cfg, keeps the hypotheses until a
-        fixpoint; all letters walk at once, each memory bit a lane over them."""
-        if cfg in safe_memo:
-            return safe_memo[cfg]
-        state, pos = cfg
+    def safe_letter(state: int) -> Letter | None:
+        """Lowest letter that, repeated from a configuration, keeps the hypotheses
+        until a fixpoint; all letters walk at once, each memory bit a lane over them."""
+        if state in safe_memo:
+            return safe_memo[state]
         memory = [top & -(state >> b & 1) for b in width]
         walking, fixed = top, 0
         for _ in range(max_iter):
-            outs, keep = t.step(memory, pos, lanes)
+            outs, keep = t.step(memory, *lanes)
             walking &= split(outs)[0]
-            npos = t.next_position(pos)
-            if npos == pos:
-                moved = 0
-                for b in width:
-                    moved |= memory[b] ^ keep[b]
-                fixed |= walking & ~moved
-                walking &= moved
+            moved = 0
+            for b in width:
+                moved |= memory[b] ^ keep[b]
+            fixed |= walking & ~moved
+            walking &= moved
             if not walking or (fixed and fixed & -fixed < walking & -walking):
                 break
-            memory, pos = keep, npos
+            memory = keep
         else:
             raise AssertionError("no fixpoint within the monotone stabilization bound")
-        found = safe_memo[cfg] = letters[(fixed & -fixed).bit_length() - 1] if fixed else None
+        found = safe_memo[state] = letters[(fixed & -fixed).bit_length() - 1] if fixed else None
         return found
 
     # Configurations known to reach no SAFE configuration; their successors
     # can reach nothing they cannot, so a failed search marks all it visited.
-    hopeless: set[_Config] = set()
+    hopeless: set[int] = set()
 
-    def path_to_safe(c: _Config) -> tuple[list[Letter], _Config] | None:
+    def path_to_safe(c: int) -> tuple[list[Letter], int] | None:
         if c in hopeless:
             return None
         if safe_letter(c) is not None:
             return [], c
-        par: dict[_Config, tuple[_Config, Letter] | None] = {c: None}
+        par: dict[int, tuple[int, Letter] | None] = {c: None}
         queue = [c]
         qi = 0
         while qi < len(queue):
@@ -408,9 +397,8 @@ def decide(query: QuasiQuery) -> Verdict:
 
     # Breadth-first over hypothesis-true transitions from the all-ones start;
     # the first violating one whose successor reaches SAFE is the answer.
-    start: _Config = (t.initial_state, 1)
-    order: list[_Config] = [start]
-    parent: dict[_Config, tuple[_Config, Letter] | None] = {start: None}
+    order = [t.initial_state]
+    parent: dict[int, tuple[int, Letter] | None] = {t.initial_state: None}
     qi = 0
     while qi < len(order):
         cfg = order[qi]
@@ -436,7 +424,7 @@ def decide(query: QuasiQuery) -> Verdict:
     return Verdict(True)
 
 
-def _walk_back(parent: dict, c: _Config) -> list[Letter]:
+def _walk_back(parent: dict, c: int) -> list[Letter]:
     """Letters along the parent links from the search root to c."""
     back: list[Letter] = []
     while parent[c] is not None:
@@ -487,12 +475,6 @@ def replay(lasso: Lasso, query: QuasiQuery) -> bool:
 ORACLE_CELLS = 2**26
 # Assignments covered by the oracle's first slab, at least one first-axis index.
 _SLAB_LANES = 4096
-
-
-def _encode(e: Element, width: int) -> int:
-    """e's oracle lane: bit j is coordinate j+1, bit width the tail; a 1-tail fills up from the prefix end."""
-    lane = sum(b << j for j, b in enumerate(e.prefix))
-    return lane | ((2 << width) - (1 << len(e.prefix))) if e.tail else lane
 
 
 def _lane_table(bound: int, width: int):
@@ -551,20 +533,22 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     dag = query.transducer
-    chain: list[int] = []  # most Delta nodes on a path down from each node
+    # The coordinate past which each node's value is constant on the box: a
+    # variable's is bound, a constant's 0, and each Delta adds one.
+    settle: list[int] = []
     on_first: list[bool] = []  # whether each node depends on the first variable
     for op in dag.nodes:
         kind = op[0]
-        if kind is Var or kind is ElementLit:
-            chain.append(0)
+        if kind is Var or kind is Const:
+            settle.append(bound if kind is Var else 0)
             on_first.append(kind is Var and op[1] == 0)
         elif kind is Delta:
-            chain.append(1 + chain[op[1]])
+            settle.append(1 + settle[op[1]])
             on_first.append(on_first[op[1]])
         else:
-            chain.append(max(chain[j] for j in op[1:]))
+            settle.append(max(settle[j] for j in op[1:]))
             on_first.append(any(on_first[j] for j in op[1:]))
-    width = max(bound, dag.position_cap - 1) + max(chain, default=0) + 2
+    width = max(settle, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
     top = np.uint64((2 << width) - 1)
@@ -587,8 +571,8 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             kind = op[0]
             if kind is Var:
                 vals[i] = var_vals[op[1]]
-            elif kind is ElementLit:
-                vals[i] = np.uint64(_encode(op[1], width))
+            elif kind is Const:
+                vals[i] = top if op[1] else np.uint64(0)
             elif kind is Delta:
                 vals[i] = _delta_scan(vals[op[1]], width)
             else:

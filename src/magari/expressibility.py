@@ -336,6 +336,7 @@ def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, c
             if not admit(entry.formula):
                 return ClosureResult(tuple(classes), True)
 
+    keyed = 0  # the classes all of whose combinations an earlier round keyed
     for _ in range(depth):
         frontier = list(classes)
         grew = False
@@ -343,14 +344,17 @@ def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, c
             params = free_vars(entry.formula)
             if not params:
                 continue
-            for combo in product(frontier, repeat=len(params)):
-                candidate = substitute(entry.formula, dict(zip(params, combo)))
+            for combo in product(range(len(frontier)), repeat=len(params)):
+                if max(combo) < keyed:
+                    continue
+                candidate = substitute(entry.formula, {p: frontier[i] for p, i in zip(params, combo)})
                 before = len(classes)
                 if not admit(candidate):
                     return ClosureResult(tuple(classes), True)
                 grew = grew or len(classes) > before
         if not grew:
             break
+        keyed = len(frontier)
     return ClosureResult(tuple(classes), False)
 
 

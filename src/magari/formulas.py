@@ -16,7 +16,7 @@ derived from it, "@" the first-coordinate projection derived from the box.
 Uppercase D is reserved, so identifiers never collide with it.
 
 ElementLit nodes carry algebra constants produced by constant folding; the
-parser never emits them.
+parser never emits them and the decider does not compile them.
 """
 
 from __future__ import annotations
@@ -362,25 +362,3 @@ def modal_depth(f: Formula) -> int:
     if isinstance(f, _BINARY):
         return max(modal_depth(f.lhs), modal_depth(f.rhs))
     return 0
-
-
-def delta_nodes(f: Formula) -> int:
-    """Number of distinct Delta subterms of desugar(f); shared subterms count once."""
-    index: dict[tuple, int] = {}
-    built: dict[int, int] = {}  # by id: desugar shares sub-objects, and hashing one re-walks its whole tree
-
-    def intern(g: Formula) -> int:
-        got = built.get(id(g))
-        if got is None:
-            if isinstance(g, _UNARY):
-                key = (type(g), intern(g.arg))
-            elif isinstance(g, _BINARY):
-                key = (type(g), intern(g.lhs), intern(g.rhs))
-            else:
-                key = (type(g), g)
-            got = built[id(g)] = index.setdefault(key, len(index))
-        return got
-
-    root = desugar(f)  # alive until the walk ends, so no id is reused
-    intern(root)
-    return sum(key[0] is Delta for key in index)

@@ -12,6 +12,7 @@ from magari import (
     ONE,
     ZERO,
     Element,
+    ElementLit,
     Equation,
     Lasso,
     QuasiQuery,
@@ -64,27 +65,36 @@ def test_compile_state_width_counts_distinct_deltas():
     assert compile_roots([parse("p | q")]).state_width == 0
 
 
-def test_compile_position_cap_tracks_literals():
-    assert compile_roots([parse("p")]).position_cap == 1
-    # D(D0) folds to the literal 11(0), prefix length 2
-    assert compile_roots([parse("p & D(D0)")]).position_cap == 3
+def test_compile_gives_closed_deltas_memory_bits():
+    # D0 and D(D0) are closed, and each keeps its own bit
+    assert compile_roots([parse("p & D(D0)")]).state_width == 2
+    with pytest.raises(TypeError):
+        compile_roots([ElementLit(parse_element("11(0)"))])
 
 
 def test_compile_normalizes_in_linear_time(monkeypatch):
     # desugar shares sub-objects (@x boxes x three times over), so the compile
-    # folds the parser's tree first and then builds each shared object once
-    calls = 0
+    # desugars the parser's tree once and then builds each shared object once
+    calls = folds = 0
+    desugar = formulas_module.desugar
     fold = formulas_module.constant_fold
 
-    def counting_fold(f):
+    def counting_desugar(f):
         nonlocal calls
         calls += 1
+        return desugar(f)
+
+    def counting_fold(f):
+        nonlocal folds
+        folds += 1
         return fold(f)
 
-    monkeypatch.setattr(formulas_module, "constant_fold", counting_fold)
-    monkeypatch.setattr(decide_module, "constant_fold", counting_fold)
+    for module in (formulas_module, decide_module):
+        monkeypatch.setattr(module, "desugar", counting_desugar)
+        monkeypatch.setattr(module, "constant_fold", counting_fold)
     assert len(compile_roots([parse("@@@@p")]).nodes) == 1 + 4 * 8
     assert calls == 5  # one per parse-tree node
+    assert folds == 0
 
     iff = "p"
     for _ in range(16):
@@ -291,13 +301,20 @@ def test_brute_force_width_guard():
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
 def test_brute_force_at_the_widest_lane(bound):
-    # the literal D^59 0 = 1^59(0) caps positions at 60 and one Delta sits
-    # above it, so the width is 62 and each lane's tail rides in bit 62
+    # D^59 0 = 1^59(0) settles at 60 and one Delta sits above it, so the
+    # width is 62 and each lane's tail rides in bit 62
     q = query([(f"D(p & {'D' * 59}0)", "Dp")])
     found = brute_force(q, bound)
     assert found is not None and found == _reference_first_hit(q, bound)
     with pytest.raises(ValueError, match="width 63 exceeds 62 bits"):
         brute_force(query([(f"D(p & {'D' * 60}0)", "Dp")]), bound)
+
+
+def test_brute_force_width_follows_the_slowest_node():
+    # D^60 0 settles at 60 and Dp at 2, so the width is 62: the longest
+    # D chain and the longest closed prefix lie on different paths
+    q = query([(f"p & {'D' * 60}0", "Dp")])
+    assert brute_force(q, 1) == {"p": ZERO} == _reference_first_hit(q, 1)
 
 
 def test_decide_matches_brute_force_random():
@@ -331,12 +348,18 @@ def test_brute_force_checks_budget_before_building_elements(monkeypatch):
     assert brute_force(query([("1", "1")]), 40) is None
 
 
+def _encode(e: Element, width: int) -> int:
+    """e's oracle lane: bit j is coordinate j+1, bit width the tail; a 1-tail fills up from the prefix end."""
+    lane = sum(b << j for j, b in enumerate(e.prefix))
+    return lane | ((2 << width) - (1 << len(e.prefix))) if e.tail else lane
+
+
 @pytest.mark.parametrize("bound", range(8))
 def test_lane_table_and_hit_decoding_follow_elements_up_to(bound):
     elements = elements_up_to(bound)
     for width in (bound + 1, 62):
         table = decide_module._lane_table(bound, width)
-        assert table.tolist() == [decide_module._encode(e, width) for e in elements]
+        assert table.tolist() == [_encode(e, width) for e in elements]
     assert [decide_module._element_at(c) for c in range(len(elements))] == elements
 
 

@@ -294,6 +294,25 @@ def test_closure_matches_pairwise_decides(cap):
     assert flags == ({False, True} if cap == 8 else {False})
 
 
+def test_closure_keys_no_combination_twice(monkeypatch):
+    # p is keyed first.  Round 1 keys Dp and p -> p over the frontier [p] and
+    # finds the classes Dp and 1.  Round 2 keys only the combinations that use
+    # Dp or 1: 2 of the 3 for d and 8 of the 9 for i.
+    keyed = []
+    key = magari.expressibility.machine_key
+
+    def counting_key(f, variables):
+        keyed.append(f)
+        return key(f, variables)
+
+    monkeypatch.setattr(magari.expressibility, "machine_key", counting_key)
+    sigma = (NamedFormula("d", parse("Dp")), NamedFormula("i", parse("p -> q")))
+    got = enumerate_closure(sigma, 1, 2, 64)
+    assert len(keyed) == 1 + 2 + 2 + 8
+    assert len(set(keyed)) == len(keyed)
+    assert (got.classes, got.truncated) == _closure_by_pairwise_decides(sigma, 1, 2, 64)
+
+
 def test_synthesize_round_trip_examples():
     for text in ("(0)", "(1)", "010(1)", "1101(0)", "0(1)", "1(0)"):
         e = parse_element(text)

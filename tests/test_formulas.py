@@ -170,6 +170,9 @@ def test_delta_nodes_counts_distinct_shared():
     assert delta_nodes(parse("#p")) == 1
     assert delta_nodes(parse("@p")) == 3
     assert delta_nodes(parse("p & q")) == 0
+    # closed Delta subterms count too
+    assert delta_nodes(parse("D0 & DD0")) == 2
+    assert delta_nodes(parse("#D0 & @1")) == 5
 
 
 def test_delta_nodes_is_linear_in_nested_nabla():

@@ -72,12 +72,11 @@ def test_transducer_lanes_match_evaluation(fs, k):
     exact = [[evaluate(f, {v: ONE if b else ZERO for v, b in zip("pqr", let)}) for let in letters] for f in fs]
     t = compile_roots(fs)
     lanes = (255, tuple(masks[v] for v in t.variables))
-    memory, pos = [255] * t.state_width, 1
+    memory = [255] * t.state_width
     for j in range(1, k + 1):
-        outs, memory = t.step(memory, pos, lanes)
+        outs, memory = t.step(memory, *lanes)
         for lane, values in zip(outs, exact):
             assert [lane >> l & 1 for l in range(8)] == [coordinate(e, j) for e in values]
-        pos = t.next_position(pos)
 
 
 _SIDES = formulas(st.sampled_from(("p", "q")), 5)
