@@ -147,8 +147,6 @@ def delta_power(i: int) -> Element:
     """delta applied i times to zero: i ones followed by zeros."""
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    if i == 0:
-        return ZERO
     return Element((1,) * i, 0)
 
 
@@ -156,8 +154,6 @@ def neg_delta_power(i: int) -> Element:
     """Complement of delta_power(i): i zeros followed by ones."""
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    if i == 0:
-        return ONE
     return Element((0,) * i, 1)
 
 

@@ -3,7 +3,9 @@
 Verbs: eval, check, member, closure, synthesize, verify-paper.  Exit codes:
 0 success or PASS, 1 a valid run with a negative outcome (counterexample,
 non-membership, failed verification), 2 usage or parse errors, 3 internal
-consistency violations (decider versus oracle, or a lasso that fails replay).
+consistency violations: any AssertionError, such as a disagreement that
+decide.check_verdict raises (decider versus oracle, or a lasso that fails
+replay) in check and verify-paper alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 from . import __version__
 from .algebra import Element, format_element, parse_element
-from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, require_replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, check_verdict, decide
 from .expressibility import (
     PrecompletenessReport,
     enumerate_closure,
@@ -34,10 +36,6 @@ from .semantics import UnboundVariableError, evaluate, evaluate_closed
 
 _DEFAULT_ORACLE_BOUND = 5
 _BOUND_FROM_ENV = object()  # const of a bare --oracle-bound; argparse would run a str const through int
-
-
-class InternalCheckError(Exception):
-    """Decider versus oracle or a synthesized term disagreed; a bug, not a user error."""
 
 
 def _resolve_bound(flag_value: int | object | None) -> int | None:
@@ -161,27 +159,23 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _cmd_check(args) -> tuple[int, dict]:
     hyps = tuple(_parse_equation(t) for t in args.hyp or ())
     concls = tuple(_parse_equation(t) for t in args.concl or ())
+    bound = _resolve_bound(args.oracle_bound)
     query = QuasiQuery(hyps, concls)
     verdict = decide(query)
+    found = check_verdict(query, verdict, bound)
 
     report: dict = {
         "hypotheses": [f"{format_formula(e.lhs)} = {format_formula(e.rhs)}" for e in hyps],
         "conclusions": [f"{format_formula(e.lhs)} = {format_formula(e.rhs)}" for e in concls],
         "verdict": _json_value(verdict),
     }
-    require_replay(query, verdict)
     if verdict.lasso is not None:
         report["counterexample"] = _lasso_dict(verdict.lasso)
-
-    bound = _resolve_bound(args.oracle_bound)
     if bound is not None:
-        found, disagreement = cross_check(query, verdict, bound)
         report["oracle_bound"] = bound
         report["oracle_counterexample"] = (
             {v: format_element(e) for v, e in found.items()} if found is not None else None
         )
-        if disagreement is not None:
-            raise InternalCheckError(disagreement)
     return (0 if verdict.valid else 1), report
 
 
@@ -213,7 +207,7 @@ def _cmd_synthesize(args) -> tuple[int, dict]:
     element = parse_element(args.element)
     term = synthesize_term(element)
     if evaluate_closed(term) != element:
-        raise InternalCheckError("synthesized term does not evaluate back to the element")
+        raise AssertionError("synthesized term does not evaluate back to the element")
     return 0, {"element": format_element(element), "term": format_formula(term)}
 
 
@@ -360,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
-    except (InternalCheckError, AssertionError) as e:
+    except AssertionError as e:
         print(f"internal consistency violation: {e}", file=sys.stderr)
         return 3
 

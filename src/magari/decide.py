@@ -38,9 +38,9 @@ tail, which a 1-tail fills down to the end of the prefix.  The oracle gives
 each variable its own axis of the assignment box, so a node's array spans
 only the variables it depends on; it walks the box in doubling slabs of the
 first variable's axis and stops at the first slab holding a hit.  It realizes
-delta by its own cumulative-conjunction scan, not by transducer memory;
-cross_check holds a decider verdict against it and require_replay holds a
-lasso against exact evaluation.
+delta by its own cumulative-conjunction scan, not by transducer memory.
+check_verdict holds a verdict's lasso against exact evaluation and, given a
+bound, the verdict against the oracle; every disagreement raises.
 
 machine_key names the minimal machine of one formula, so that equal
 formulas, and only they, get equal keys without a decide.
@@ -613,22 +613,22 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     return None
 
 
-def cross_check(query: QuasiQuery, verdict: Verdict, bound: int) -> tuple[dict[str, Element] | None, str | None]:
-    """The oracle's first hit for query, and why it disagrees with verdict.
+def check_verdict(query: QuasiQuery, verdict: Verdict, bound: int | None = None) -> dict[str, Element] | None:
+    """Hold verdict against exact replay and, given a bound, the oracle's box;
+    return the oracle's first hit, or None without a bound.
 
-    Either may be None.  A decider counterexample must be rediscovered only
-    when it lies inside the oracle's box.
+    Raises AssertionError when a lasso fails replay, when the decider said Valid
+    but the oracle found a counterexample, or when a decider counterexample lies
+    inside the box but the oracle found none there.
     """
-    found = brute_force(query, bound)
-    if verdict.valid and found is not None:
-        return found, "decider said Valid but the oracle found a counterexample"
-    if verdict.lasso is not None and found is None:
-        if all(len(e.prefix) <= bound for e in lasso_assignment(verdict.lasso).values()):
-            return found, "decider counterexample fits the oracle box but the oracle found none"
-    return found, None
-
-
-def require_replay(query: QuasiQuery, verdict: Verdict) -> None:
-    """Raise AssertionError when verdict carries a lasso that fails replay on query."""
     if verdict.lasso is not None and not replay(verdict.lasso, query):
         raise AssertionError("counterexample lasso failed exact replay")
+    if bound is None:
+        return None
+    found = brute_force(query, bound)
+    if verdict.valid and found is not None:
+        raise AssertionError("decider said Valid but the oracle found a counterexample")
+    if verdict.lasso is not None and found is None:
+        if all(len(e.prefix) <= bound for e in lasso_assignment(verdict.lasso).values()):
+            raise AssertionError("decider counterexample fits the oracle box but the oracle found none")
+    return found

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Element, neg_delta_power
-from .decide import Equation, Lasso, QuasiQuery, Verdict, cross_check, decide, machine_key, require_replay
+from .decide import Equation, Lasso, QuasiQuery, Verdict, check_verdict, decide, machine_key
 from .formulas import (
     And,
     Const,
@@ -162,34 +162,22 @@ class ParametricWitness:
     """Data asserting that ``target`` is parametrically expressible.
 
     ``pairs`` are the defining equations B_j = C_j over the target's
-    variables, the output variable and the auxiliary variables.  The check
-    is two entailments: target = output entails every pair with the
-    auxiliary variables substituted by ``substitutions`` (applied in order),
-    and the unsubstituted pairs jointly entail target = output.
+    variables and the output variable.  The check is two entailments:
+    target = output entails every pair, and the pairs jointly entail
+    target = output.
     """
 
     target: Formula
     output_var: str
     pairs: tuple[Equation, ...]
-    aux_vars: tuple[str, ...] = ()
-    substitutions: tuple[Formula, ...] = ()
 
 
 def witness_queries(w: ParametricWitness) -> tuple[QuasiQuery, QuasiQuery]:
     """The two entailments a witness must satisfy, as decidable queries."""
-    if len(w.aux_vars) != len(w.substitutions):
-        raise ValueError("each auxiliary variable needs exactly one substitution")
-    target_vars = set(free_vars(w.target))
-    for v in (w.output_var, *w.aux_vars):
-        if v in target_vars:
-            raise ValueError(f"witness variable '{v}' must not occur in the target formula")
+    if w.output_var in free_vars(w.target):
+        raise ValueError(f"witness variable '{w.output_var}' must not occur in the target formula")
     defining = Equation(w.target, Var(w.output_var))
-    substituted = list(w.pairs)
-    for v, d in zip(w.aux_vars, w.substitutions):
-        substituted = [Equation(substitute(e.lhs, {v: d}), substitute(e.rhs, {v: d})) for e in substituted]
-    forward = QuasiQuery((defining,), tuple(substituted))
-    backward = QuasiQuery(tuple(w.pairs), (defining,))
-    return forward, backward
+    return QuasiQuery((defining,), w.pairs), QuasiQuery(w.pairs, (defining,))
 
 
 def check_parametric_witness(w: ParametricWitness) -> tuple[Verdict, Verdict]:
@@ -222,9 +210,10 @@ class PrecompletenessReport:
 
     ``passed`` means: the formula is outside the class, its displaced
     constant differs from the class constant, both wrapper formulas are in
-    the class, and all four entailments are valid (plus oracle agreement
-    when an oracle bound was given).  Counterexample lassos, if any, replay
-    successfully before being reported.
+    the class, and all four entailments are valid.  Counterexample lassos,
+    if any, replay successfully before being reported.  ``oracle_agreed`` is
+    True when an oracle bound was given, since a disagreement raises, and
+    None otherwise.
     """
 
     class_index: int
@@ -246,9 +235,11 @@ class PrecompletenessReport:
 def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) -> PrecompletenessReport:
     """Check that f witnesses the displayed facts for class i.
 
-    Failures land in the report; only malformed inputs raise.  When
-    oracle_bound is given, each entailment verdict is cross-checked against
-    the exhaustive oracle in that box and disagreement fails the report.
+    Failures land in the report; malformed inputs raise ValueError.  Each
+    entailment verdict goes through check_verdict: its lasso is replayed and,
+    when oracle_bound is given, the verdict is held against the exhaustive
+    oracle in that box.  A disagreement raises AssertionError naming the
+    class, the witness and the entailment.
     """
     a = class_constant(i)
     c = evaluate(f, {v: a for v in free_vars(f)})
@@ -260,17 +251,15 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
     names = ("negation_forward", "negation_backward", "delta_forward", "delta_backward")
     queries = dict(zip(names, witness_queries(wn) + witness_queries(wd)))
     verdicts = {name: decide(q) for name, q in queries.items()}
-
     for name, q in queries.items():
-        require_replay(q, verdicts[name])
-
-    oracle_agreed = None if oracle_bound is None else all(
-        cross_check(q, verdicts[name], oracle_bound)[1] is None for name, q in queries.items()
-    )
+        try:
+            check_verdict(q, verdicts[name], oracle_bound)
+        except AssertionError as e:
+            raise AssertionError(f"i={i} witness={format_formula(f)} {name}: {e}") from e
 
     in_n = preserves(i, wn.pairs[0].lhs)
     in_d = preserves(i, wd.pairs[0].lhs)
-    passed = in_n and in_d and all(v.valid for v in verdicts.values()) and oracle_agreed in (None, True)
+    passed = in_n and in_d and all(v.valid for v in verdicts.values())
     return PrecompletenessReport(
         class_index=i,
         formula=f,
@@ -280,7 +269,7 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
         negation_wrapper_in_class=in_n,
         delta_wrapper_in_class=in_d,
         **verdicts,
-        oracle_agreed=oracle_agreed,
+        oracle_agreed=None if oracle_bound is None else True,
         counterexamples=tuple(v.lasso for v in verdicts.values() if v.lasso is not None),
         passed=passed,
     )

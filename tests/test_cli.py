@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import magari.cli
-from magari import Lasso, Verdict
+from magari import ZERO, Lasso, Verdict
 from magari.cli import main
 
 
@@ -379,6 +379,17 @@ def test_check_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--concl", "Dp = p", "--oracle-bound", "3")
     assert code == 3
     assert "internal consistency violation: decider said Valid but the oracle found a counterexample" in err
+
+
+def test_verify_paper_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
+    # an oracle that refutes every query disagrees with each valid entailment
+    monkeypatch.setattr(sys.modules["magari.decide"], "brute_force",
+                        lambda query, bound: {v: ZERO for v in query.transducer.variables})
+    code, out, err = run(capsys, "verify-paper", "--i-max", "1", "--witnesses", "Dp", "--oracle-bound", "2")
+    assert code == 3
+    assert out == ""
+    assert err == ("internal consistency violation: i=1 witness=Dp negation_forward: "
+                   "decider said Valid but the oracle found a counterexample\n")
 
 
 def test_check_lasso_failing_replay_is_an_internal_error(capsys, monkeypatch):

@@ -19,9 +19,9 @@ from magari import (
     Var,
     Verdict,
     brute_force,
+    check_verdict,
     compile_roots,
     coordinate,
-    cross_check,
     decide,
     delta_witness,
     elements_up_to,
@@ -428,25 +428,30 @@ def test_brute_force_scans_every_delta_array(monkeypatch):
     assert sum(scanned) == 3 * n
 
 
-def test_cross_check_valid_verdict_against_oracle_hit():
-    found, reason = cross_check(query([("Dp", "p")]), Verdict(True), 1)
-    assert found == {"p": ZERO}
-    assert reason == "decider said Valid but the oracle found a counterexample"
+def test_check_verdict_valid_verdict_against_oracle_hit():
+    q = query([("Dp", "p")])
+    assert brute_force(q, 1) == {"p": ZERO}
+    with pytest.raises(AssertionError) as raised:
+        check_verdict(q, Verdict(True), 1)
+    assert str(raised.value) == "decider said Valid but the oracle found a counterexample"
 
 
-def test_cross_check_fitting_lasso_the_oracle_cannot_find():
-    loeb = query([("D(Dp -> p)", "Dp")])
-    fitting = Lasso(("p",), ((0,),), (0,), 1)  # p = (0), inside every box
-    found, reason = cross_check(loeb, Verdict(False, fitting), 3)
-    assert found is None
-    assert reason == "decider counterexample fits the oracle box but the oracle found none"
+def test_check_verdict_fitting_lasso_the_oracle_cannot_find(monkeypatch):
+    # replay runs first, so the lasso must be a real one; the oracle is made blind
+    q = query([("Dp", "p")])
+    v = decide(q)
+    assert v.lasso is not None and replay(v.lasso, q)
+    monkeypatch.setattr(decide_module, "brute_force", lambda query, bound: None)
+    with pytest.raises(AssertionError) as raised:
+        check_verdict(q, v, 3)
+    assert str(raised.value) == "decider counterexample fits the oracle box but the oracle found none"
 
 
-def test_cross_check_agreement():
+def test_check_verdict_agreement():
     for q in (query([("Dp", "p")]), query([("D(Dp -> p)", "Dp")])):
         v = decide(q)
-        found, reason = cross_check(q, v, 3)
-        assert reason is None
+        assert check_verdict(q, v) is None
+        found = check_verdict(q, v, 3)
         assert (found is None) == v.valid
 
 

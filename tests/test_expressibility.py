@@ -151,15 +151,6 @@ def test_witness_validation():
     )
     with pytest.raises(ValueError):
         witness_queries(w)
-    w = ParametricWitness(
-        target=parse("!p"),
-        output_var="q",
-        pairs=(Equation(parse("p"), parse("p")),),
-        aux_vars=("r",),
-        substitutions=(),
-    )
-    with pytest.raises(ValueError):
-        witness_queries(w)
 
 
 def test_corrupted_witness_is_caught():

@@ -25,15 +25,14 @@ from magari import (
     Or,
     QuasiQuery,
     Var,
+    check_verdict,
     compile_roots,
     coordinate,
-    cross_check,
     decide,
     evaluate,
     format_formula,
     machine_key,
     parse,
-    require_replay,
 )
 from magari.cli import main
 
@@ -91,9 +90,7 @@ _QUERIES = st.builds(
 @PROPERTY
 @given(_QUERIES)
 def test_decider_oracle_and_replay_agree(q):
-    v = decide(q)
-    require_replay(q, v)
-    assert cross_check(q, v, 2)[1] is None
+    check_verdict(q, decide(q), 2)
 
 
 @PROPERTY
