@@ -132,7 +132,7 @@ def _print_summary(report: dict) -> None:
         if not cell["passed"]:
             for key in ("outside_class", "constant_differs", "negation_wrapper_in_class",
                         "delta_wrapper_in_class", "negation_forward", "negation_backward",
-                        "delta_forward", "delta_backward", "oracle_agreed"):
+                        "delta_forward", "delta_backward"):
                 print(f"  {key}: {cell[key]}")
             for lasso in cell["counterexamples"]:
                 print("  counterexample: " + json.dumps(lasso))

@@ -23,22 +23,25 @@ all-ones start along hypothesis-true transitions that looks for a path to SAFE
 from the successor of each violating transition as it meets it and stops at
 the first that has one.  A failed look marks every configuration it visited as
 hopeless, so later looks skip them and the whole search stays linear in the
-transitions.  Letters are bit-sliced: bit l of an int lane is letter l, so one
-transducer step per configuration covers every letter, and the letters sharing
-a successor and a violation form one transition, named by the lowest of them.
+transitions.  Letters and configurations are bit-sliced: bit c*L + l of an int
+lane is configuration c of a batch under letter l, L letters in all, so one
+transducer step covers every letter of the configurations a search has queued,
+up to _BATCH_LANES lane bits, and the letters sharing a successor and a
+violation form one transition, named by the lowest of them.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the returned lasso is deterministic.  A query compiles
 once, on first use, into QuasiQuery.transducer; decide and the independent
 brute_force oracle both read that one DAG of class-tagged nodes and share one
-table of Boolean connectives, _BOOL, each on its own lanes (ints of letters,
-numpy uint64 arrays of truncations).  An oracle lane packs a value truncated
-to width coordinates into one word: bit j is coordinate j+1 and bit width the
-tail, which a 1-tail fills down to the end of the prefix.  The oracle gives
-each variable its own axis of the assignment box, so a node's array spans
-only the variables it depends on; it walks the box in doubling slabs of the
-first variable's axis and stops at the first slab holding a hit.  It realizes
-delta by its own cumulative-conjunction scan, not by transducer memory.
+table of Boolean connectives, _BOOL, each on its own lanes (ints of
+(configuration, letter) pairs, numpy uint64 arrays of truncations).  An oracle
+lane packs a value truncated to width coordinates into one word: bit j is
+coordinate j+1 and bit width the tail, which a 1-tail fills down to the end of
+the prefix.  The oracle gives each variable its own axis of the assignment
+box, so a node's array spans only the variables it depends on; it walks the
+box in doubling slabs of the first variable's axis and stops at the first slab
+holding a hit.  It realizes delta by its own cumulative-conjunction scan, not
+by transducer memory.
 check_verdict holds a verdict's lasso against exact evaluation and, given a
 bound, the verdict against the oracle; every disagreement raises.
 
@@ -120,8 +123,9 @@ class Verdict:
 # === Shared term DAG and transducer ===
 
 
-# Core connectives on bit vectors whose all-ones value is top: a bit per letter
-# in a transducer lane, every coordinate bit and the tail bit in an oracle lane.
+# Core connectives on bit vectors whose all-ones value is top: a bit per
+# (configuration, letter) pair in a transducer lane, every coordinate bit and
+# the tail bit in an oracle lane.
 _BOOL = {
     Not: lambda top, a: top ^ a,
     And: lambda top, a, b: a & b,
@@ -139,6 +143,23 @@ def _alphabet(n_vars: int) -> tuple[tuple[Letter, ...], Lanes]:
     letters = tuple(product((0, 1), repeat=n_vars))
     masks = tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n_vars))
     return letters, ((1 << len(letters)) - 1, masks)
+
+
+# Most (configuration, letter) lanes one step covers; an alphabet this wide
+# or wider steps one configuration at a time.
+_BATCH_LANES = 1024
+
+
+@cache
+def _tiled(n_vars: int, n_configs: int) -> Lanes:
+    """The lanes of n_configs configurations side by side, each under every
+    letter: top and each variable's mask repeated n_configs times.  Callers
+    cap a batch at _BATCH_LANES lane bits or one configuration, which bounds
+    the cache."""
+    one, masks = _alphabet(n_vars)[1]
+    top = (1 << n_configs * one.bit_length()) - 1
+    tile = top // one
+    return top, tuple(m * tile for m in masks)
 
 
 @dataclass(frozen=True)
@@ -159,11 +180,12 @@ class Transducer:
         return (1 << self.state_width) - 1
 
     def step(self, memory: Sequence[int], top: int, var_masks: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-        """One step for every letter at once: each root's output lane and each
-        memory bit's keep lane.  top is the all-letters lane, var_masks a mask
-        per variable and memory a lane per memory bit.  A delta node emits its
-        memory bit (the past conjunction, 1 at step 1) and keeps it where its
-        child outputs 1."""
+        """One step for every lane bit at once: each root's output lane and
+        each memory bit's keep lane.  top is the all-ones lane, var_masks a
+        mask per variable and memory a lane per memory bit; a lane bit is a
+        letter, or a (configuration, letter) pair when top spans several
+        configurations.  A delta node emits its memory bit (the past
+        conjunction, 1 at step 1) and keeps it where its child outputs 1."""
         nodes = self.nodes
         out = [0] * len(nodes)
         keep = [0] * self.state_width
@@ -181,6 +203,22 @@ class Transducer:
             else:
                 out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
         return tuple(out[r] for r in self.roots), keep
+
+    def step_configs(self, configs: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+        """One step of every configuration under every letter, in one step
+        call: bit c*L + l of each lane is configs[c] under letter l, where L
+        is the number of letters."""
+        n_letters = 1 << len(self.variables)
+        block = (1 << n_letters) - 1  # the lane bits of the current configuration
+        memory = [0] * self.state_width
+        for s in configs:
+            while s:
+                low = s & -s
+                memory[low.bit_length() - 1] |= block
+                s ^= low
+            block <<= n_letters
+        top, masks = _tiled(len(self.variables), len(configs))
+        return self.step(memory, top, masks)
 
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
         """Root outputs for steps 1..n under the given element assignment."""
@@ -268,25 +306,27 @@ def machine_key(f: Formula, variables: Sequence[str]) -> tuple:
     isomorphism, and the numbering fixes the isomorphism.
     """
     t = compile_roots([f], variables)
-    _, lanes = _alphabet(len(t.variables))
-    top = lanes[0]
+    top = _alphabet(len(t.variables))[1][0]
     n_letters = top.bit_length()
+    per_batch = max(1, _BATCH_LANES // n_letters)
     width = range(t.state_width)
     index = {t.initial_state: 0}
     configs = [t.initial_state]
     out_lane: list[int] = []
     succ: list[list[int]] = []
-    for state in configs:  # grows while it is read: breadth-first
-        outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
-        row = []
-        for letter in range(n_letters):
-            s = sum(1 << b for b in width if keep[b] >> letter & 1)
-            if s not in index:
-                index[s] = len(configs)
-                configs.append(s)
-            row.append(index[s])
-        out_lane.append(outs[0])
-        succ.append(row)
+    while len(succ) < len(configs):  # configs grows while it is read: breadth-first
+        batch = configs[len(succ) : len(succ) + per_batch]
+        outs, keep = t.step_configs(batch)
+        for first in range(0, len(batch) * n_letters, n_letters):
+            row = []
+            for lane_bit in range(first, first + n_letters):
+                s = sum(1 << b for b in width if keep[b] >> lane_bit & 1)
+                if s not in index:
+                    index[s] = len(configs)
+                    configs.append(s)
+                row.append(index[s])
+            out_lane.append(outs[0] >> first & top)
+            succ.append(row)
 
     # Moore refinement by (output lane, successor blocks).  Blocks are numbered
     # in order of first appearance, so equal partitions are equal lists.
@@ -310,11 +350,13 @@ def decide(query: QuasiQuery) -> Verdict:
     nh2, n_roots = 2 * len(query.hypotheses), len(t.roots)
     letters, lanes = _alphabet(len(t.variables))
     top = lanes[0]
+    n_letters = len(letters)
     width = range(t.state_width)
 
     def split(outs: tuple[int, ...]) -> tuple[int, int]:
-        """Letters that keep every hypothesis, and those of them that violate a conclusion."""
-        hyp = top
+        """Lane bits that keep every hypothesis, and those of them that violate a
+        conclusion; hyp starts at -1, all ones, so it fits lanes of any width."""
+        hyp = -1
         for i in range(0, nh2, 2):
             hyp &= ~(outs[i] ^ outs[i + 1])
         viol = 0
@@ -323,26 +365,40 @@ def decide(query: QuasiQuery) -> Verdict:
         return hyp, viol & hyp
 
     memo: dict[int, list[tuple[Letter, int, bool]]] = {}
+    per_batch = max(1, _BATCH_LANES // n_letters)
 
-    def edges(state: int) -> list[tuple[Letter, int, bool]]:
+    def edges(state: int, queue: list[int], qi: int) -> list[tuple[Letter, int, bool]]:
         """Hypothesis-true transitions out of a configuration in letter order, one
-        (lowest letter, successor, violates) per group of letters sharing the last two."""
+        (lowest letter, successor, violates) per group of letters sharing the last two.
+
+        A miss steps state together with the configurations queue holds from
+        index qi on that are not yet memoized, up to per_batch of them."""
         got = memo.get(state)
         if got is not None:
             return got
-        outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
-        hyp, viol = split(outs)
-        got = memo[state] = []
-        if not hyp:
-            return got
-        # (letters, successor) pairs, split by each partly kept memory bit and by viol
-        groups = [(hyp, sum(1 << b for b in width if keep[b] & hyp == hyp))]
-        for k, bit in [(keep[b] & hyp, 1 << b) for b in width] + [(viol, 0)]:
-            if k and k != hyp:
-                groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
-        for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
-            got.append((letters[lo.bit_length() - 1], s, v != 0))
-        return got
+        batch = [state]
+        while len(batch) < per_batch and qi < len(queue):
+            if queue[qi] not in memo:
+                batch.append(queue[qi])
+            qi += 1
+        outs, keep = t.step_configs(batch)
+        hyp_lane, viol_lane = split(outs)
+        for c, cfg in enumerate(batch):
+            shift = c * n_letters
+            hyp = hyp_lane >> shift & top
+            got = memo[cfg] = []
+            if not hyp:
+                continue
+            viol = viol_lane >> shift & hyp
+            kept = [k >> shift & hyp for k in keep]
+            # (letters, successor) pairs, split by each partly kept memory bit and by viol
+            groups = [(hyp, sum(1 << b for b in width if kept[b] == hyp))]
+            for k, bit in [(kept[b], 1 << b) for b in width] + [(viol, 0)]:
+                if k and k != hyp:
+                    groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
+            for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
+                got.append((letters[lo.bit_length() - 1], s, v != 0))
+        return memo[state]
 
     max_iter = t.state_width + 2
     safe_memo: dict[int, Letter | None] = {}
@@ -385,7 +441,7 @@ def decide(query: QuasiQuery) -> Verdict:
         while qi < len(queue):
             cur = queue[qi]
             qi += 1
-            for let, s, _ in edges(cur):
+            for let, s, _ in edges(cur, queue, qi):
                 if s in par or s in hopeless:
                     continue
                 par[s] = (cur, let)
@@ -403,7 +459,7 @@ def decide(query: QuasiQuery) -> Verdict:
     while qi < len(order):
         cfg = order[qi]
         qi += 1
-        for letter, succ, viol in edges(cfg):
+        for letter, succ, viol in edges(cfg, order, qi):
             if succ not in parent:
                 parent[succ] = (cfg, letter)
                 order.append(succ)

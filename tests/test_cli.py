@@ -268,6 +268,14 @@ def test_verify_paper_member_witness_fails(capsys):
     assert data["cells"][0]["outside_class"] is False
 
 
+def test_verify_paper_text_failure_reasons_omit_the_oracle(capsys):
+    # A disagreement with the oracle raises, so a failed cell's reasons never include it.
+    code, out, _ = run(capsys, "verify-paper", "--i-max", "2", "--witnesses", "p&q,Dp", "--oracle-bound", "3")
+    assert code == 1
+    assert any(l.endswith(" FAIL") for l in out.splitlines())
+    assert "oracle_agreed:" not in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

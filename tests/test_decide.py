@@ -201,6 +201,26 @@ def test_wide_alphabet_costs_one_step_per_configuration(monkeypatch):
         assert calls <= 2 * 2**n
 
 
+def test_narrow_alphabet_steps_once_per_level(monkeypatch):
+    # 15 memory bits over 8 letters: one step per configuration made 148 calls,
+    # where a step covers the configurations queued behind the one it expands.
+    terms = ["D(p | D(q -> Dr))", "D(q & D(r | Dp))", "D(r -> D(p | Dq))",
+             "D(p & D(q | Dr))", "D(q | D(p -> Dr))", "D(r & D(q | Dp))"]
+    calls = 0
+    step = decide_module.Transducer.step
+
+    def counting_step(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
+    q = query([(" & ".join(terms), " & ".join(reversed(terms)))])
+    assert q.transducer.state_width == 15
+    assert decide(q).valid
+    assert calls <= 10
+
+
 def test_hypotheses_matter():
     # congruence instance: from p = 0 it follows that Dp = D0
     q_with = query([("Dp", "D0")], hyps=[("p", "0")])
@@ -492,9 +512,12 @@ def _verdict_key(v):
     return [v.valid, list(l.variables), [list(x) for x in l.prefix], list(l.loop_letter), l.violation_step]
 
 
-def test_verdicts_and_lassos_are_byte_identical_to_the_reference():
+@pytest.mark.parametrize("batch_lanes", [decide_module._BATCH_LANES, 1])
+def test_verdicts_and_lassos_are_byte_identical_to_the_reference(monkeypatch, batch_lanes):
     # Locks the decider's determinism contract: verdicts and lassos of the
-    # criterion-3 style query set and of the precompleteness grid.
+    # criterion-3 style query set and of the precompleteness grid, whether a
+    # step covers many configurations or one.
+    monkeypatch.setattr(decide_module, "_BATCH_LANES", batch_lanes)
     rng = random.Random(1003)
     rows = [_verdict_key(decide(random_query(rng))) for _ in range(500)]
     for i in range(1, 6):
