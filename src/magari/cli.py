@@ -290,13 +290,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
+    oracle_bound = dict(nargs="?", type=int, const=_BOUND_FROM_ENV, default=None, metavar="B",
+                        help="also run the exhaustive oracle up to prefix length B "
+                        "(default from MAGARI_ORACLE_BOUND, else 5)")
+
     p = sub.add_parser("check", help="decide a quasi-identity: hypotheses entail conclusions")
     p.add_argument("--hyp", action="append", metavar="LHS=RHS", help="hypothesis equation; repeatable")
     p.add_argument("--concl", action="append", metavar="LHS=RHS", required=True,
                    help="conclusion equation; repeatable")
-    p.add_argument("--oracle-bound", nargs="?", type=int, const=_BOUND_FROM_ENV, default=None,
-                   metavar="B", help="also run the exhaustive oracle up to prefix length B "
-                   "(default from MAGARI_ORACLE_BOUND, else 5)")
+    p.add_argument("--oracle-bound", **oracle_bound)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -324,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="verify the built-in precompleteness facts "
                        "for preserving classes 1..i_max")
-    p.add_argument("--i-max", type=int, default=5)
+    p.add_argument("--i-max", type=int, default=5, help="check classes 1..I_MAX (default 5)")
     p.add_argument("--witnesses", metavar="F1,F2,...",
                    help="comma separated outside-class formulas; default per class i: "
                    "!p, Dp and the class-(i+1) constant term")
-    p.add_argument("--oracle-bound", nargs="?", type=int, const=_BOUND_FROM_ENV, default=None, metavar="B")
+    p.add_argument("--oracle-bound", **oracle_bound)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_paper)
 

@@ -21,8 +21,9 @@ along hypothesis-true transitions.
 decide finds the first one on the fly: a breadth-first search from the
 all-ones start along hypothesis-true transitions that looks for a path to SAFE
 from the successor of each violating transition as it meets it and stops at
-the first that has one.  A failed look marks every configuration it visited as
-hopeless, so later looks skip them and the whole search stays linear in the
+the first that has one.  A look tests SAFE where it expands a configuration;
+a failed one marks every configuration it visited as hopeless, so later looks
+skip them, none is tested twice and the whole search stays linear in the
 transitions.  Letters and configurations are bit-sliced: bit c*L + l of an int
 lane is configuration c of a batch under letter l, L letters in all, so one
 transducer step covers every letter of the configurations a search has queued,
@@ -400,54 +401,40 @@ def decide(query: QuasiQuery) -> Verdict:
                 got.append((letters[lo.bit_length() - 1], s, v != 0))
         return memo[state]
 
-    max_iter = t.state_width + 2
-    safe_memo: dict[int, Letter | None] = {}
-
     def safe_letter(state: int) -> Letter | None:
         """Lowest letter that, repeated from a configuration, keeps the hypotheses
-        until a fixpoint; all letters walk at once, each memory bit a lane over them."""
-        if state in safe_memo:
-            return safe_memo[state]
+        until a fixpoint: the lowest of those whose hypotheses held at every pass,
+        once it stops moving.  All letters walk at once, each memory bit a lane."""
         memory = [top & -(state >> b & 1) for b in width]
-        walking, fixed = top, 0
-        for _ in range(max_iter):
+        alive = top
+        for _ in range(t.state_width + 2):
             outs, keep = t.step(memory, *lanes)
-            walking &= split(outs)[0]
-            moved = 0
-            for b in width:
-                moved |= memory[b] ^ keep[b]
-            fixed |= walking & ~moved
-            walking &= moved
-            if not walking or (fixed and fixed & -fixed < walking & -walking):
-                break
+            alive &= split(outs)[0]
+            low = alive & -alive
+            if not any((m ^ k) & low for m, k in zip(memory, keep)):
+                return letters[low.bit_length() - 1] if low else None
             memory = keep
-        else:
-            raise AssertionError("no fixpoint within the monotone stabilization bound")
-        found = safe_memo[state] = letters[(fixed & -fixed).bit_length() - 1] if fixed else None
-        return found
+        raise AssertionError("no fixpoint within the monotone stabilization bound")
 
     # Configurations known to reach no SAFE configuration; their successors
     # can reach nothing they cannot, so a failed search marks all it visited.
     hopeless: set[int] = set()
 
-    def path_to_safe(c: int) -> tuple[list[Letter], int] | None:
+    def path_to_safe(c: int) -> tuple[list[Letter], Letter] | None:
+        """Letters from c to the first SAFE configuration in discovery order, and
+        its loop letter; SAFE is tested where a configuration is expanded."""
         if c in hopeless:
             return None
-        if safe_letter(c) is not None:
-            return [], c
         par: dict[int, tuple[int, Letter] | None] = {c: None}
         queue = [c]
-        qi = 0
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
+        for qi, cur in enumerate(queue, 1):
+            loop = safe_letter(cur)
+            if loop is not None:
+                return _walk_back(par, cur), loop
             for let, s, _ in edges(cur, queue, qi):
-                if s in par or s in hopeless:
-                    continue
-                par[s] = (cur, let)
-                if safe_letter(s) is not None:
-                    return _walk_back(par, s), s
-                queue.append(s)
+                if s not in par and s not in hopeless:
+                    par[s] = (cur, let)
+                    queue.append(s)
         hopeless.update(par)
         return None
 
@@ -455,10 +442,7 @@ def decide(query: QuasiQuery) -> Verdict:
     # the first violating one whose successor reaches SAFE is the answer.
     order = [t.initial_state]
     parent: dict[int, tuple[int, Letter] | None] = {t.initial_state: None}
-    qi = 0
-    while qi < len(order):
-        cfg = order[qi]
-        qi += 1
+    for qi, cfg in enumerate(order, 1):
         for letter, succ, viol in edges(cfg, order, qi):
             if succ not in parent:
                 parent[succ] = (cfg, letter)
@@ -467,13 +451,13 @@ def decide(query: QuasiQuery) -> Verdict:
                 found = path_to_safe(succ)
                 if found is not None:
                     pre = _walk_back(parent, cfg)
-                    tail_path, safe_cfg = found
+                    tail_path, loop = found
                     return Verdict(
                         False,
                         Lasso(
                             variables=t.variables,
                             prefix=tuple(pre) + (letter,) + tuple(tail_path),
-                            loop_letter=safe_letter(safe_cfg),
+                            loop_letter=loop,
                             violation_step=len(pre) + 1,
                         ),
                     )

@@ -304,46 +304,33 @@ def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, c
 
     variables = tuple(_VAR_POOL[:nvars])
     classes: list[Formula] = []
+
+    def candidates():
+        """The pool variables, the closed signature formulas, then each round's
+        combinations that use a class the round before found; read lazily, so a
+        round's frontier holds every class admitted before it."""
+        yield from map(Var, variables)
+        yield from (e.formula for e in sigma if not free_vars(e.formula))
+        keyed = 0  # the classes all of whose combinations an earlier round keyed
+        for _ in range(depth):
+            frontier = list(classes)
+            for entry in sigma:
+                params = free_vars(entry.formula)
+                for combo in product(range(len(frontier)), repeat=len(params)):
+                    if params and max(combo) >= keyed:
+                        yield substitute(entry.formula, {p: frontier[i] for p, i in zip(params, combo)})
+            if len(classes) == len(frontier):
+                return
+            keyed = len(frontier)
+
     keys: set[tuple] = set()
-
-    def admit(f: Formula) -> bool:
-        # returns False when the cap was hit
+    for f in candidates():
         key = machine_key(f, variables)
-        if key in keys:
-            return True
-        if len(classes) >= cap:
-            return False
-        classes.append(f)
-        keys.add(key)
-        return True
-
-    for name in variables:
-        if not admit(Var(name)):
-            return ClosureResult(tuple(classes), True)
-    for entry in sigma:
-        if not free_vars(entry.formula):
-            if not admit(entry.formula):
+        if key not in keys:
+            if len(classes) >= cap:
                 return ClosureResult(tuple(classes), True)
-
-    keyed = 0  # the classes all of whose combinations an earlier round keyed
-    for _ in range(depth):
-        frontier = list(classes)
-        grew = False
-        for entry in sigma:
-            params = free_vars(entry.formula)
-            if not params:
-                continue
-            for combo in product(range(len(frontier)), repeat=len(params)):
-                if max(combo) < keyed:
-                    continue
-                candidate = substitute(entry.formula, {p: frontier[i] for p, i in zip(params, combo)})
-                before = len(classes)
-                if not admit(candidate):
-                    return ClosureResult(tuple(classes), True)
-                grew = grew or len(classes) > before
-        if not grew:
-            break
-        keyed = len(frontier)
+            keys.add(key)
+            classes.append(f)
     return ClosureResult(tuple(classes), False)
 
 

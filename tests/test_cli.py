@@ -210,6 +210,14 @@ def test_synthesize_bad_element(capsys):
     assert "error:" in err
 
 
+def test_verify_paper_help_documents_its_options(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--help")
+    assert code == 0
+    assert "MAGARI_ORACLE_BOUND" in out
+    i_max = next(line.split() for line in out.splitlines() if line.strip().startswith("--i-max"))
+    assert len(i_max) > 2  # a help text after the metavar
+
+
 def test_verify_paper_small(capsys):
     code, out, _ = run(capsys, "verify-paper", "--i-max", "2")
     assert code == 0

@@ -2,6 +2,7 @@
 evaluation, decider, oracle and replay agreeing, and the CLI's exit codes."""
 
 import contextlib
+import dataclasses
 import io
 from itertools import combinations, product
 
@@ -33,6 +34,7 @@ from magari import (
     format_formula,
     machine_key,
     parse,
+    replay,
 )
 from magari.cli import main
 
@@ -91,6 +93,21 @@ _QUERIES = st.builds(
 @given(_QUERIES)
 def test_decider_oracle_and_replay_agree(q):
     check_verdict(q, decide(q), 2)
+
+
+@PROPERTY
+@given(_QUERIES)
+def test_loop_letter_is_the_lowest_that_replays(q):
+    # Checked by exact evaluation alone: the lasso refutes q, and no lower loop
+    # letter after the same prefix refutes it.
+    lasso = decide(q).lasso
+    if lasso is None:
+        return
+    assert replay(lasso, q)
+    for lower in product((0, 1), repeat=len(lasso.variables)):
+        if lower == lasso.loop_letter:
+            break
+        assert not replay(dataclasses.replace(lasso, loop_letter=lower), q)
 
 
 @PROPERTY
