@@ -9,40 +9,47 @@ per coordinate) produces the coordinates of every root's value in lockstep.
 A quasi-identity "hypotheses entail conclusions" fails exactly when some
 ultimately constant assignment satisfies every hypothesis equation at every
 coordinate while some conclusion equation differs somewhere.  Terms compile as
-parsed, closed subterms included, so the memory bits alone are the
-configuration; they only ever decrease, so the configuration space is finite
-and the search below is exact on the intended carrier.  A configuration is SAFE
-when some single letter, repeated, keeps the hypotheses true through
-stabilization (reached within state-width steps, by monotonicity) and at the
-resulting fixpoint.  A counterexample is a hypothesis-true transition that
-violates some conclusion and whose successor reaches a SAFE configuration
-along hypothesis-true transitions.
+parsed, closed subterms included, up to AC and idempotence: each maximal & or |
+chain becomes the chain of its distinct operand nodes in node order, so chains
+equal up to associativity, commutativity and repeats are one node, and a Delta
+over them one memory bit.  The memory bits alone are the configuration; they
+only ever decrease, so the configuration space is finite and the search below
+is exact on the intended carrier.  A configuration is SAFE when some single
+letter, repeated, keeps the hypotheses true through stabilization (reached
+within state-width steps, by monotonicity) and at the resulting fixpoint.  A
+counterexample is a hypothesis-true transition that violates some conclusion
+and whose successor reaches a SAFE configuration along hypothesis-true
+transitions.
 
-decide finds the first one on the fly: a breadth-first search from the
-all-ones start along hypothesis-true transitions that looks for a path to SAFE
-from the successor of each violating transition as it meets it and stops at
-the first that has one.  A look tests SAFE where it expands a configuration;
-a failed one marks every configuration it visited as hopeless, so later looks
-skip them, none is tested twice and the whole search stays linear in the
-transitions.  Letters and configurations are bit-sliced: bit c*L + l of an int
-lane is configuration c of a batch under letter l, L letters in all, so one
-transducer step covers every letter of the configurations a search has queued,
-up to _BATCH_LANES lane bits, and the letters sharing a successor and a
-violation form one transition, named by the lowest of them.
+decide returns Valid at once when each conclusion's two sides compiled to one
+node.  Otherwise it finds the first counterexample on the fly: a breadth-first
+search from the all-ones start along hypothesis-true transitions that looks for
+a path to SAFE from the successor of each violating transition as it meets it
+and stops at the first that has one.  A look tests SAFE where it expands a
+configuration; a failed one marks every configuration it visited as hopeless,
+so later looks skip them, none is tested twice and the whole search stays
+linear in the transitions.  Letters and configurations are bit-sliced: bit
+c*L + l of an int lane is configuration c of a batch under letter l, L letters
+in all, so one transducer step covers every letter of the configurations a
+search has queued, up to _BATCH_LANES lane bits, and the letters sharing a
+successor and a violation form one transition, named by the lowest of them.
 
 Letters are explored lexicographically smallest first and configurations in
-discovery order, so the returned lasso is deterministic.  A query compiles
-once, on first use, into QuasiQuery.transducer; decide and the independent
-brute_force oracle both read that one DAG of class-tagged nodes and share one
-table of Boolean connectives, _BOOL, each on its own lanes (ints of
-(configuration, letter) pairs, numpy uint64 arrays of truncations).  An oracle
-lane packs a value truncated to width coordinates into one word: bit j is
-coordinate j+1 and bit width the tail, which a 1-tail fills down to the end of
-the prefix.  The oracle gives each variable its own axis of the assignment
-box, so a node's array spans only the variables it depends on; it walks the
-box in doubling slabs of the first variable's axis and stops at the first slab
-holding a hit.  It realizes delta by its own cumulative-conjunction scan, not
-by transducer memory.
+discovery order, so the lasso depends only on the configurations words reach,
+not on how the DAG was built: the shortlex-least word whose last letter keeps
+the hypotheses and violates a conclusion and from whose end a hypothesis-true
+path reaches SAFE, then the shortlex-least such path to SAFE, then the lowest
+loop letter.  A query compiles once, on first use, into QuasiQuery.transducer;
+decide and the independent brute_force oracle both read that one DAG of
+class-tagged nodes and share one table of Boolean connectives, _BOOL, each on
+its own lanes (ints of (configuration, letter) pairs, numpy uint64 arrays of
+truncations).  An oracle lane packs a value truncated to width coordinates
+into one word: bit j is coordinate j+1 and bit width the tail, which a 1-tail
+fills down to the end of the prefix.  The oracle gives each variable its own
+axis of the assignment box, so a node's array spans only the variables it
+depends on; it walks the box in doubling slabs of the first variable's axis
+and stops at the first slab holding a hit.  It realizes delta by its own
+cumulative-conjunction scan, not by transducer memory.
 check_verdict holds a verdict's lasso against exact evaluation and, given a
 bound, the verdict against the oracle; every disagreement raises.
 
@@ -236,14 +243,30 @@ class Transducer:
 
 
 def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = None) -> Transducer:
-    """Compile formulas jointly: desugared, subterms shared, closed ones too.
+    """Compile formulas jointly: desugared, subterms shared, closed ones too,
+    distinct up to AC and idempotence of & and |.
 
-    Letters read variables in the given order, which must cover every free
-    variable (ValueError otherwise), or by default the free variables in name order."""
+    Each maximal & chain and each maximal | chain becomes the left-leaning
+    chain of its distinct operand nodes in node order, so chains with the same
+    operand set are one node; & and | chains never merge, and -> and ! are kept
+    as parsed.  Letters read variables in the given order, which must cover
+    every free variable (ValueError otherwise), or by default the free
+    variables in name order."""
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     state = 0
     built: dict[int, int] = {}  # by id: desugar shares sub-objects, so a tree walk is exponential
+    var_nodes: dict[str, int] = {}  # name -> node position
+    gathered: dict[int, set[int]] = {}  # by id, likewise: a chain object's operand nodes
+
+    def operands(f: Formula, cls: type) -> set[int]:
+        got = gathered.get(id(f))
+        if got is None:
+            got = set()
+            for g in (f.lhs, f.rhs):
+                got |= operands(g, cls) if type(g) is cls else {build(g)}
+            gathered[id(f)] = got
+        return got
 
     def build(f: Formula) -> int:
         nonlocal state
@@ -251,13 +274,30 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
         if got is not None:
             return got
         cls = type(f)
-        if cls is Var:
+        if cls is And or cls is Or:
+            lhs, rhs = f.lhs, f.rhs
+            if type(lhs) is cls or type(rhs) is cls:
+                got, *rest = sorted(operands(f, cls))
+                for b in rest:
+                    key = (cls, got, b)
+                    got = index.get(key)
+                    if got is None:
+                        got = index[key] = len(nodes)
+                        nodes.append(key)
+                built[id(f)] = got
+                return got
+            a, b = build(lhs), build(rhs)  # the common two-operand chain, without a set
+            if a == b:
+                built[id(f)] = a
+                return a
+            key = (cls, a, b) if a < b else (cls, b, a)
+        elif cls is Var:
             key = (Var, f.name)
         elif cls is Const:
             key = (Const, f.value)
         elif cls is Not or cls is Delta:
             key = (cls, build(f.arg))
-        elif cls is And or cls is Or or cls is Implies:
+        elif cls is Implies:
             key = (cls, build(f.lhs), build(f.rhs))
         else:
             raise TypeError(f"unexpected node after desugar: {f!r}")
@@ -267,23 +307,30 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
             if cls is Delta:
                 key += (state,)
                 state += 1
+            elif cls is Var:
+                var_nodes[f.name] = got
             nodes.append(key)
         built[id(f)] = got
         return got
 
     normalized = [desugar(r) for r in roots]  # alive until the end, so no id is reused
     root_ids = tuple(build(f) for f in normalized)
-    free = sorted(op[1] for op in nodes if op[0] is Var)
+    free = sorted(var_nodes)
     var_index = {v: i for i, v in enumerate(free if variables is None else variables)}
     missing = [v for v in free if v not in var_index]
     if missing:
         raise ValueError(f"variable order {tuple(variables)} misses {', '.join(missing)}")
-    dag = tuple((Var, var_index[op[1]]) if op[0] is Var else op for op in nodes)
-    return Transducer(dag, root_ids, tuple(var_index), state)
+    for v, i in var_nodes.items():
+        nodes[i] = (Var, var_index[v])
+    # each refers to itself through its closure; dropping both frees this
+    # compile's tables now rather than at the next garbage collection
+    build = operands = None
+    return Transducer(tuple(nodes), root_ids, tuple(var_index), state)
 
 
 def delta_nodes(f: Formula) -> int:
-    """Number of distinct Delta subterms of desugar(f); shared subterms count once."""
+    """Number of Delta subterms of desugar(f) distinct up to AC and idempotence
+    of & and |; shared subterms count once."""
     return compile_roots([f]).state_width
 
 
@@ -349,6 +396,8 @@ def decide(query: QuasiQuery) -> Verdict:
     """Valid, or a deterministic lasso counterexample on the intended carrier."""
     t = query.transducer
     nh2, n_roots = 2 * len(query.hypotheses), len(t.roots)
+    if all(t.roots[j] == t.roots[j + 1] for j in range(nh2, n_roots, 2)):
+        return Verdict(True)  # each conclusion's sides compiled to one node
     letters, lanes = _alphabet(len(t.variables))
     top = lanes[0]
     n_letters = len(letters)

@@ -1,8 +1,11 @@
-"""Shared test utilities: seeded generators and componentwise reference ops."""
+"""Shared test utilities: seeded generators, componentwise reference ops and
+an exact reference decider."""
 
 from __future__ import annotations
 
 import random
+from functools import cache
+from itertools import product
 
 from magari import (
     And,
@@ -14,13 +17,17 @@ from magari import (
     Formula,
     Iff,
     Implies,
+    Lasso,
     Nabla,
     Not,
     Or,
     QuasiQuery,
     Var,
+    Verdict,
     canonicalize,
     delta_reference,
+    desugar,
+    free_vars,
 )
 
 # === Componentwise reference operations on truncations ===
@@ -107,3 +114,101 @@ def random_query(rng: random.Random, max_vars: int = 3) -> QuasiQuery:
         else:
             concls.append(Equation(side(), side()))
     return QuasiQuery(hyps, tuple(concls))
+
+
+# === Exact reference decider ===
+
+
+def reference_decide(query: QuasiQuery) -> Verdict:
+    """decide's contract, read off letter by letter on desugared formula trees.
+
+    A configuration is the set of D-subterms, told apart structurally, whose
+    memory has fallen to 0; D(g) reads 1 until g has read 0.  The lasso is the
+    shortlex-least word whose last letter keeps the hypotheses and violates a
+    conclusion and from whose end a hypothesis-true path reaches SAFE, then the
+    shortlex-least such path, then the lowest letter that, repeated, keeps the
+    hypotheses forever.  Slow and plain: no DAG, no lanes, no batching."""
+    parsed = [s for eq in query.hypotheses + query.conclusions for s in (eq.lhs, eq.rhs)]
+    sides = [desugar(s) for s in parsed]
+    nh2 = 2 * len(query.hypotheses)
+    variables = tuple(sorted({v for s in parsed for v in free_vars(s)}))
+    letters = list(product((0, 1), repeat=len(variables)))
+    slot: dict[Formula, int] = {}  # D-subterm -> its number
+    deltas: dict[int, tuple[Delta, int]] = {}  # by id: desugar shares sub-objects
+    seen: set[int] = set()
+    stack = list(sides)
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            if isinstance(f, Delta):
+                deltas[id(f)] = (f, slot.setdefault(f, len(slot)))
+            stack += [getattr(f, a) for a in ("arg", "lhs", "rhs") if hasattr(f, a)]
+
+    @cache
+    def step(fallen: frozenset, letter) -> tuple[bool, bool, frozenset]:
+        """(hypotheses kept, a conclusion violated, successor) of one letter."""
+        env = dict(zip(variables, letter))
+        vals: dict[int, int] = {}
+
+        def val(f) -> int:
+            if id(f) not in vals:
+                if isinstance(f, Var):
+                    vals[id(f)] = env[f.name]
+                elif isinstance(f, Const):
+                    vals[id(f)] = f.value
+                elif isinstance(f, Delta):
+                    vals[id(f)] = int(deltas[id(f)][1] not in fallen)
+                elif isinstance(f, Not):
+                    vals[id(f)] = 1 - val(f.arg)
+                else:
+                    a, b = val(f.lhs), val(f.rhs)
+                    vals[id(f)] = {And: a & b, Or: a | b, Implies: (1 - a) | b}[type(f)]
+            return vals[id(f)]
+
+        outs = [val(s) for s in sides]
+        kept = all(outs[i] == outs[i + 1] for i in range(0, nh2, 2))
+        violated = any(outs[j] != outs[j + 1] for j in range(nh2, len(outs), 2))
+        return kept, violated, fallen | {n for d, n in deltas.values() if not val(d.arg)}
+
+    @cache
+    def loop_letter(c: frozenset):
+        for letter in letters:
+            cur, kept = c, True
+            while kept:
+                kept, _, nxt = step(cur, letter)
+                if nxt == cur:
+                    break
+                cur = nxt
+            if kept:
+                return letter
+        return None
+
+    def bfs(start: frozenset, stop):
+        """Hypothesis-true transitions from start in shortlex order of their
+        words: the first answer of stop(successor, violated, word), else None."""
+        words, queue = {start: ()}, [start]
+        for c in queue:
+            for letter in letters:
+                kept, violated, nxt = step(c, letter)
+                if kept:
+                    word = words[c] + (letter,)
+                    got = stop(nxt, violated, word)
+                    if got is not None:
+                        return got
+                    if nxt not in words:
+                        words[nxt] = word
+                        queue.append(nxt)
+        return None
+
+    @cache
+    def path_to_safe(c: frozenset):
+        if loop_letter(c) is not None:
+            return (), loop_letter(c)
+        return bfs(c, lambda nxt, _, word: None if loop_letter(nxt) is None else (word, loop_letter(nxt)))
+
+    def refutes(nxt, violated, word):
+        found = path_to_safe(nxt) if violated else None
+        return found and Verdict(False, Lasso(variables, word + found[0], found[1], len(word)))
+
+    return bfs(frozenset(), refutes) or Verdict(True)

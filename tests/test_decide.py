@@ -11,10 +11,13 @@ import magari.cli
 from magari import (
     ONE,
     ZERO,
+    Const,
+    Delta,
     Element,
     ElementLit,
     Equation,
     Lasso,
+    Not,
     QuasiQuery,
     Var,
     Verdict,
@@ -70,6 +73,35 @@ def test_compile_gives_closed_deltas_memory_bits():
     assert compile_roots([parse("p & D(D0)")]).state_width == 2
     with pytest.raises(TypeError):
         compile_roots([ElementLit(parse_element("11(0)"))])
+
+
+def _roots(*texts: str) -> tuple[int, ...]:
+    return compile_roots([parse(t) for t in texts]).roots
+
+
+def test_and_or_chains_intern_up_to_ac_and_idempotence():
+    for lhs, rhs in [("p & q", "q & p"), ("(p & q) & r", "r & (q & p)"), ("p | p", "p"),
+                     ("D(p | q) & r", "r & D(q | p | q)")]:
+        a, b = _roots(lhs, rhs)
+        assert a == b, (lhs, rhs)
+    for lhs, rhs in [("p -> q", "q -> p"), ("p & q", "p | q"), ("p & (q | r)", "(p & q) | r")]:
+        a, b = _roots(lhs, rhs)
+        assert a != b, (lhs, rhs)
+
+
+def test_every_compiled_node_is_reachable_from_a_root():
+    # a chain's inner same-class objects leave no dead prefix nodes behind
+    rng = random.Random(317)
+    texts = ["(p & q) & (r & D(p & q))", "#(p & q & r) | ((p | q) | p)", "@(p | q) & @(q | p)"]
+    for fs in [[parse(t) for t in texts]] + [[random_formula(rng, ["p", "q", "r"], 12) for _ in range(2)]
+                                            for _ in range(100)]:
+        t = compile_roots(fs)
+        seen = set(t.roots)
+        for i in range(len(t.nodes) - 1, -1, -1):  # children precede parents
+            kind, *args = t.nodes[i]
+            if i in seen and kind not in (Var, Const):
+                seen.update(args[:1] if kind in (Not, Delta) else args)
+        assert seen == set(range(len(t.nodes)))
 
 
 def test_compile_normalizes_in_linear_time(monkeypatch):
@@ -162,63 +194,61 @@ def test_fixed_point_counterexample_is_deterministic():
     assert lasso_assignment(v.lasso) == {"p": ZERO}
 
 
-def test_refutation_at_step_one_stops_before_exploring_the_graph(monkeypatch):
-    # Exploring the whole configuration graph takes over a hundred steps, but
-    # the first letter already violates the conclusion at step 1.
-    terms = ["Dp", "Dq", "Dr", "D(p & q)", "D(q & r)", "D(p & r)", "D(p | q)", "D(q | r)"]
-    conj = " & ".join(terms)
-    calls = 0
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A list that gains an entry on each Transducer.step call."""
+    calls = []
     step = decide_module.Transducer.step
 
     def counting_step(self, *args):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return step(self, *args)
 
     monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
+    return calls
+
+
+_EIGHT_TERMS = ["Dp", "Dq", "Dr", "D(p & q)", "D(q & r)", "D(p & r)", "D(p | q)", "D(q | r)"]
+
+
+def test_refutation_at_step_one_stops_before_exploring_the_graph(step_calls):
+    # Exploring the whole configuration graph takes over a hundred steps, but
+    # the first letter already violates the conclusion at step 1.
+    conj = " & ".join(_EIGHT_TERMS)
     v = decide(query([(conj, f"{conj} & p")]))
     assert not v.valid
     assert v.lasso.violation_step == 1
-    assert calls < 100
+    assert len(step_calls) < 100
 
 
-def test_wide_alphabet_costs_one_step_per_configuration(monkeypatch):
+def test_permuted_conjunction_is_valid_without_a_step(step_calls):
+    # both sides intern to one node, so no configuration is ever stepped
+    shuffled = _EIGHT_TERMS[3:] + ["D(r & q)", "D(q | p)"] + _EIGHT_TERMS[:3]
+    assert decide(query([(" & ".join(_EIGHT_TERMS), " & ".join(reversed(shuffled)))])).valid
+    assert len(step_calls) == 0
+
+
+def test_wide_alphabet_costs_one_step_per_configuration(step_calls):
     # A valid cycle over n variables has 2^n letters; a per-letter step made
-    # one call per (configuration, letter), 65,536 for n = 8.
-    calls = 0
-    step = decide_module.Transducer.step
-
-    def counting_step(self, *args):
-        nonlocal calls
-        calls += 1
-        return step(self, *args)
-
-    monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
+    # one call per (configuration, letter), 65,536 for n = 8.  The "& 1"
+    # keeps the two sides apart as nodes, so the search runs.
     for n in (8, 10):
         terms = [f"D(x{i} -> x{(i + 1) % n})" for i in range(n)]
-        calls = 0
-        assert decide(query([(" & ".join(terms), " & ".join(terms[1:] + terms[:1]))])).valid
-        assert calls <= 2 * 2**n
+        step_calls.clear()
+        assert decide(query([(" & ".join(terms), " & ".join(terms[1:] + terms[:1] + ["1"]))])).valid
+        assert len(step_calls) <= 2 * 2**n
 
 
-def test_narrow_alphabet_steps_once_per_level(monkeypatch):
+def test_narrow_alphabet_steps_once_per_level(step_calls):
     # 15 memory bits over 8 letters: one step per configuration made 148 calls,
     # where a step covers the configurations queued behind the one it expands.
+    # The "& 1" keeps the two sides apart as nodes, so the search runs.
     terms = ["D(p | D(q -> Dr))", "D(q & D(r | Dp))", "D(r -> D(p | Dq))",
              "D(p & D(q | Dr))", "D(q | D(p -> Dr))", "D(r & D(q | Dp))"]
-    calls = 0
-    step = decide_module.Transducer.step
-
-    def counting_step(self, *args):
-        nonlocal calls
-        calls += 1
-        return step(self, *args)
-
-    monkeypatch.setattr(decide_module.Transducer, "step", counting_step)
-    q = query([(" & ".join(terms), " & ".join(reversed(terms)))])
+    q = query([(" & ".join(terms), " & ".join(reversed(terms)) + " & 1")])
     assert q.transducer.state_width == 15
     assert decide(q).valid
-    assert calls <= 10
+    assert len(step_calls) <= 10
 
 
 def test_hypotheses_matter():

@@ -170,6 +170,10 @@ def test_delta_nodes_counts_distinct_shared():
     assert delta_nodes(parse("#p")) == 1
     assert delta_nodes(parse("@p")) == 3
     assert delta_nodes(parse("p & q")) == 0
+    # distinct up to AC and idempotence of & and |
+    assert delta_nodes(parse("D(p & q) & D(q & p)")) == 1
+    assert delta_nodes(parse("D(p | q | p) & D(q | p)")) == 1
+    assert delta_nodes(parse("D(p -> q) & D(q -> p)")) == 2
     # closed Delta subterms count too
     assert delta_nodes(parse("D0 & DD0")) == 2
     assert delta_nodes(parse("#D0 & @1")) == 5

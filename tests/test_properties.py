@@ -1,5 +1,6 @@
 """Property tests: parser round trip, transducer lanes against exact
-evaluation, decider, oracle and replay agreeing, and the CLI's exit codes."""
+evaluation, decider, oracle and replay agreeing, the decider against the
+reference decider, and the CLI's exit codes."""
 
 import contextlib
 import dataclasses
@@ -9,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magari import (
     ONE,
@@ -38,7 +39,7 @@ from magari import (
 )
 from magari.cli import main
 
-from helpers import random_formula
+from helpers import random_formula, reference_decide
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -108,6 +109,48 @@ def test_loop_letter_is_the_lowest_that_replays(q):
         if lower == lasso.loop_letter:
             break
         assert not replay(dataclasses.replace(lasso, loop_letter=lower), q)
+
+
+def _chain(draw, cls, operands):
+    """The operands joined by cls under a drawn bracketing."""
+    if len(operands) == 1:
+        return operands[0]
+    cut = draw(st.integers(1, len(operands) - 1))
+    return cls(_chain(draw, cls, operands[:cut]), _chain(draw, cls, operands[cut:]))
+
+
+@st.composite
+def _chain_equations(draw):
+    """An & or | chain against a permutation of its operands with repeats,
+    sometimes one fewer, both sides under one drawn wrapper."""
+    cls = draw(st.sampled_from((And, Or)))
+    ops = draw(st.lists(formulas(st.sampled_from(("p", "q")), 3), min_size=1, max_size=4))
+    other = draw(st.permutations(ops)) + draw(st.lists(st.sampled_from(ops), max_size=2))
+    if len(other) > 1 and draw(st.booleans()):
+        del other[draw(st.integers(0, len(other) - 1))]
+    wrap = draw(st.sampled_from((lambda f: f, Not, Delta, Box)))
+    return Equation(wrap(_chain(draw, cls, ops)), wrap(_chain(draw, cls, other)))
+
+
+# p or q pinned to 1^k(0) or 0^k(1), k up to 4: a prefix past the oracle's box
+_PINS = st.builds(
+    lambda v, k, neg: Equation(Var(v), parse("!" * neg + "D" * k + "0")),
+    st.sampled_from(("p", "q")), st.integers(1, 4), st.booleans(),
+)
+_REFERENCE_QUERIES = st.builds(
+    QuasiQuery,
+    st.lists(st.one_of(_EQUATIONS, _PINS), max_size=1).map(tuple),
+    st.lists(st.one_of(_EQUATIONS, _chain_equations()), min_size=1, max_size=2).map(tuple),
+)
+
+
+@PROPERTY
+@given(_REFERENCE_QUERIES)
+# p is forced to 111(0), so the only counterexample violates at step 4,
+# with a prefix past the oracle box of the property above
+@example(QuasiQuery((Equation(Var("p"), parse("DDD0")),), (Equation(Var("p"), Const(1)),)))
+def test_decide_matches_the_reference_decider(q):
+    assert decide(q) == reference_decide(q)
 
 
 @PROPERTY
