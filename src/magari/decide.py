@@ -54,7 +54,9 @@ check_verdict holds a verdict's lasso against exact evaluation and, given a
 bound, the verdict against the oracle; every disagreement raises.
 
 machine_key names the minimal machine of one formula, so that equal
-formulas, and only they, get equal keys without a decide.
+formulas, and only they, get equal keys without a decide.  A key is itself
+that machine, so compose_key keys a superposition s(c1, ..., ck) by running
+the compiled s on its operands' keys, and machine_key is such a composition.
 """
 
 from __future__ import annotations
@@ -337,44 +339,59 @@ def delta_nodes(f: Formula) -> int:
 # === Canonical minimal machines ===
 
 
+def variable_keys(n_vars: int) -> tuple[tuple, ...]:
+    """Each variable's key: one block, emitting the variable's letter bits."""
+    top, masks = _alphabet(n_vars)[1]
+    stay = (0,) * top.bit_length()
+    return tuple(((m, stay),) for m in masks)
+
+
 def machine_key(f: Formula, variables: Sequence[str]) -> tuple:
     """A key that two formulas over the same variables share exactly when
-    they are equal on the carrier.
+    they are equal on the carrier: f compiled alone over variables and fed
+    with each variable's one-block machine, keyed by compose_key."""
+    return compose_key(compile_roots([f], variables), variable_keys(len(variables)), len(variables))
 
-    f compiles alone, its letters over variables.  Its configurations
-    reachable from the start, listed breadth-first in letter order, each with
-    its output lane and one successor per letter, form a Mealy machine.
+
+def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
+    """The key of t's first root with its i-th variable replaced by the formula
+    whose key is operands[i], all over the same n_vars variables.
+
+    A key is itself a minimal Mealy machine: per block its output lane over
+    the letters and its successor block under each letter, block 0 the start.
+    A configuration is one block per operand and t's memory; the operands'
+    output lanes there are t's variable lanes, so one step gives t's output
+    lane and memory under every letter, and each operand moves to its own
+    successor.  The configurations reachable from the start, listed
+    breadth-first in letter order, form a Mealy machine of the composite.
     Moore refinement merges the equivalent ones and numbers each block where
     it first appears in that list, which is breadth-first order on the
     minimal machine: a block is first reached from the first configuration of
-    an earlier block.  The key lists (output lane, successor numbers) per
-    block in that order.  Output k depends only on letters 1..k and every
-    finite word extends to an ultimately constant assignment, so equal
-    formulas are equivalent machines; a minimal machine is unique up to
-    isomorphism, and the numbering fixes the isomorphism.
+    an earlier block.  Output k depends only on letters 1..k and every finite
+    word extends to an ultimately constant assignment, so equal formulas are
+    equivalent machines; a minimal machine is unique up to isomorphism, and
+    the numbering fixes the isomorphism.
     """
-    t = compile_roots([f], variables)
-    top = _alphabet(len(t.variables))[1][0]
-    n_letters = top.bit_length()
-    per_batch = max(1, _BATCH_LANES // n_letters)
+    top = _alphabet(n_vars)[1][0]
+    letters = range(top.bit_length())
     width = range(t.state_width)
-    index = {t.initial_state: 0}
-    configs = [t.initial_state]
+    start = (0,) * len(operands) + (t.initial_state,)
+    index = {start: 0}
+    configs = [start]
     out_lane: list[int] = []
     succ: list[list[int]] = []
-    while len(succ) < len(configs):  # configs grows while it is read: breadth-first
-        batch = configs[len(succ) : len(succ) + per_batch]
-        outs, keep = t.step_configs(batch)
-        for first in range(0, len(batch) * n_letters, n_letters):
-            row = []
-            for lane_bit in range(first, first + n_letters):
-                s = sum(1 << b for b in width if keep[b] >> lane_bit & 1)
-                if s not in index:
-                    index[s] = len(configs)
-                    configs.append(s)
-                row.append(index[s])
-            out_lane.append(outs[0] >> first & top)
-            succ.append(row)
+    for *blocks, memory in configs:  # configs grows while it is read: breadth-first
+        at = [op[q] for op, q in zip(operands, blocks)]
+        outs, keep = t.step([top & -(memory >> b & 1) for b in width], top, [a[0] for a in at])
+        kept = [sum(1 << b for b in width if keep[b] >> l & 1) for l in letters]
+        row = []
+        for s in zip(*[a[1] for a in at], kept):  # each letter's successor
+            if s not in index:
+                index[s] = len(configs)
+                configs.append(s)
+            row.append(index[s])
+        out_lane.append(outs[0])
+        succ.append(row)
 
     # Moore refinement by (output lane, successor blocks).  Blocks are numbered
     # in order of first appearance, so equal partitions are equal lists.

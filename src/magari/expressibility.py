@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Element, neg_delta_power
-from .decide import Equation, Lasso, QuasiQuery, Verdict, check_verdict, decide, machine_key
+from .decide import Equation, Lasso, QuasiQuery, Verdict, check_verdict, compile_roots, compose_key, decide, variable_keys
 from .formulas import (
     And,
     Const,
@@ -286,14 +286,21 @@ class ClosureResult:
     truncated: bool
 
 
+# a pool variable is p composed with that variable's own machine
+_PROJECTION = compile_roots([Var("p")])
+
+
 def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, cap: int) -> ClosureResult:
     """Representatives of the semantic classes generated from nvars variables
     by superposing the signature formulas, up to the given number of rounds.
 
     Identification is semantic: formulas equal on the free algebra share a
-    class, found by looking up the machine_key of each candidate over the
-    pool's first nvars variables in a set.  When more than cap classes
-    appear the enumeration stops early and the result is flagged truncated.
+    class, found by looking each candidate's key over the pool's first nvars
+    variables up among the classes' keys.  Each signature formula compiles
+    once, over its own parameters; compose_key keys a candidate from that
+    machine and its operands' keys, and substitute builds it only when it is
+    admitted.  When more than cap classes appear the enumeration stops early
+    and the result is flagged truncated.
     """
     if nvars < 0 or nvars > len(_VAR_POOL):
         raise ValueError(f"nvars must be between 0 and {len(_VAR_POOL)}")
@@ -302,36 +309,36 @@ def enumerate_closure(sigma: tuple[NamedFormula, ...], nvars: int, depth: int, c
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
-    variables = tuple(_VAR_POOL[:nvars])
-    classes: list[Formula] = []
+    params = [free_vars(e.formula) for e in sigma]
+    signature = [(e.formula, ps, compile_roots([e.formula], ps)) for e, ps in zip(sigma, params)]
+    classes: dict[tuple, Formula] = {}  # key -> representative, in admission order
 
     def candidates():
-        """The pool variables, the closed signature formulas, then each round's
+        """(formula, its parameters, its machine, one (key, class) per parameter):
+        the pool variables, the closed signature formulas, then each round's
         combinations that use a class the round before found; read lazily, so a
         round's frontier holds every class admitted before it."""
-        yield from map(Var, variables)
-        yield from (e.formula for e in sigma if not free_vars(e.formula))
+        for v, key in zip(_VAR_POOL, variable_keys(nvars)):
+            yield Var("p"), ("p",), _PROJECTION, [(key, Var(v))]
+        yield from ((f, ps, t, []) for f, ps, t in signature if not ps)
         keyed = 0  # the classes all of whose combinations an earlier round keyed
         for _ in range(depth):
-            frontier = list(classes)
-            for entry in sigma:
-                params = free_vars(entry.formula)
-                for combo in product(range(len(frontier)), repeat=len(params)):
-                    if params and max(combo) >= keyed:
-                        yield substitute(entry.formula, {p: frontier[i] for p, i in zip(params, combo)})
+            frontier = list(classes.items())
+            for f, ps, t in signature:
+                for combo in product(range(len(frontier)), repeat=len(ps)):
+                    if ps and max(combo) >= keyed:
+                        yield f, ps, t, [frontier[i] for i in combo]
             if len(classes) == len(frontier):
                 return
             keyed = len(frontier)
 
-    keys: set[tuple] = set()
-    for f in candidates():
-        key = machine_key(f, variables)
-        if key not in keys:
+    for f, ps, t, operands in candidates():
+        key = compose_key(t, [k for k, _ in operands], nvars)
+        if key not in classes:
             if len(classes) >= cap:
-                return ClosureResult(tuple(classes), True)
-            keys.add(key)
-            classes.append(f)
-    return ClosureResult(tuple(classes), False)
+                return ClosureResult(tuple(classes.values()), True)
+            classes[key] = substitute(f, {p: g for p, (_, g) in zip(ps, operands)})
+    return ClosureResult(tuple(classes.values()), False)
 
 
 # === Closed-term synthesis ===

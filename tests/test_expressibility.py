@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -288,20 +289,38 @@ def test_closure_matches_pairwise_decides(cap):
 def test_closure_keys_no_combination_twice(monkeypatch):
     # p is keyed first.  Round 1 keys Dp and p -> p over the frontier [p] and
     # finds the classes Dp and 1.  Round 2 keys only the combinations that use
-    # Dp or 1: 2 of the 3 for d and 8 of the 9 for i.
+    # Dp or 1: 2 of the 3 for d and 8 of the 9 for i.  A combination is a
+    # signature machine and its operands' keys.
     keyed = []
-    key = magari.expressibility.machine_key
+    key = magari.expressibility.compose_key
 
-    def counting_key(f, variables):
-        keyed.append(f)
-        return key(f, variables)
+    def counting_key(t, operands, n_vars):
+        keyed.append((t, tuple(operands)))
+        return key(t, operands, n_vars)
 
-    monkeypatch.setattr(magari.expressibility, "machine_key", counting_key)
+    monkeypatch.setattr(magari.expressibility, "compose_key", counting_key)
     sigma = (NamedFormula("d", parse("Dp")), NamedFormula("i", parse("p -> q")))
     got = enumerate_closure(sigma, 1, 2, 64)
     assert len(keyed) == 1 + 2 + 2 + 8
     assert len(set(keyed)) == len(keyed)
     assert (got.classes, got.truncated) == _closure_by_pairwise_decides(sigma, 1, 2, 64)
+
+
+def test_closure_compiles_each_signature_formula_once(monkeypatch):
+    compiles = []
+    decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
+    compile_roots = decide_module.compile_roots
+
+    def counting_compile(roots, variables=None):
+        compiles.append(roots)
+        return compile_roots(roots, variables)
+
+    for module in (decide_module, magari.expressibility):
+        monkeypatch.setattr(module, "compile_roots", counting_compile)
+    sigma = (NamedFormula("d", parse("Dp")), NamedFormula("i", parse("p -> q")))
+    got = enumerate_closure(sigma, 2, 2, 64)
+    assert (len(got.classes), got.truncated) == (30, False)
+    assert len(compiles) == 2
 
 
 def test_synthesize_round_trip_examples():

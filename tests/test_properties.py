@@ -29,13 +29,17 @@ from magari import (
     Var,
     check_verdict,
     compile_roots,
+    compose_key,
     coordinate,
     decide,
     evaluate,
     format_formula,
+    free_vars,
     machine_key,
     parse,
     replay,
+    substitute,
+    variable_keys,
 )
 from magari.cli import main
 
@@ -163,6 +167,24 @@ def test_machine_keys_agree_with_decided_equality(rng, nvars):
     keys = [machine_key(f, variables) for f in fs]
     for i, j in combinations(range(len(fs)), 2):
         assert (keys[i] == keys[j]) == decide(QuasiQuery((), (Equation(fs[i], fs[j]),))).valid
+
+
+def test_variable_key_is_the_one_block_variable_machine():
+    # letters (p, q) in product order 00 01 10 11: q is 1 under letters 1 and 3
+    assert machine_key(Var("q"), ("p", "q")) == ((0b1010, (0, 0, 0, 0)),) == variable_keys(2)[1]
+    assert machine_key(Var("p"), ("p",)) == ((0b10, (0, 0)),)
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_composed_keys_equal_keys_of_the_substituted_formula(rng, nvars):
+    # s over parameters a and b, closed s included, each fed a formula over nvars variables
+    variables = ("p", "q", "r")[:nvars]
+    s = random_formula(rng, rng.choice([["a", "b"], ["a"], []]), rng.randint(1, 7))
+    params = free_vars(s)
+    operands = {x: random_formula(rng, list(variables), rng.randint(1, 5)) for x in params}
+    composed = compose_key(compile_roots([s], params), [machine_key(operands[x], variables) for x in params], nvars)
+    assert composed == machine_key(substitute(s, operands), variables)
 
 
 # Grammar tokens, Unicode aliases, '=', stray characters and element texts,
