@@ -42,14 +42,15 @@ path reaches SAFE, then the shortlex-least such path to SAFE, then the lowest
 loop letter.  A query compiles once, on first use, into QuasiQuery.transducer;
 decide and the independent brute_force oracle both read that one DAG of
 class-tagged nodes and share one table of Boolean connectives, _BOOL, each on
-its own lanes (ints of (configuration, letter) pairs, numpy uint64 arrays of
+its own lanes (ints of (configuration, letter) pairs, numpy arrays of
 truncations).  An oracle lane packs a value truncated to width coordinates
-into one word: bit j is coordinate j+1 and bit width the tail, which a 1-tail
-fills down to the end of the prefix.  The oracle gives each variable its own
-axis of the assignment box, so a node's array spans only the variables it
-depends on; it walks the box in doubling slabs of the first variable's axis
-and stops at the first slab holding a hit.  It realizes delta by its own
-cumulative-conjunction scan, not by transducer memory.
+into the narrowest unsigned word with a bit to spare above the tail: bit j is
+coordinate j+1 and bit width the tail, which a 1-tail fills down to the end of
+the prefix.  The oracle gives each variable its own axis of the assignment box,
+so a node's array spans only the variables it depends on; it walks the box in
+doubling slabs of the first variable's axis and stops at the first slab
+holding a hit.  It realizes delta by its own cumulative conjunction, the
+trailing ones of each lane found by one carry, not by transducer memory.
 check_verdict holds a verdict's lasso against exact evaluation and, given a
 bound, the verdict against the oracle; every disagreement raises.
 
@@ -577,7 +578,7 @@ def replay(lasso: Lasso, query: QuasiQuery) -> bool:
 # === Independent brute-force oracle ===
 
 
-# Largest oracle grid in assignments x DAG nodes; a cell is one uint64 word.
+# Largest oracle grid in assignments x DAG nodes; a cell is one lane of at most 8 bytes.
 ORACLE_CELLS = 2**26
 # Assignments covered by the oracle's first slab, at least one first-axis index.
 _SLAB_LANES = 4096
@@ -586,16 +587,18 @@ _SLAB_LANES = 4096
 def _lane_table(bound: int, width: int):
     """The oracle lanes of elements_up_to(bound), in its order, built without an Element.
 
-    Entries 2**m up to 2**(m+1) are the prefixes of length m in product order,
-    each followed by the tail that differs from its last bit: prefix r of
-    length m-1 gives r then 0 with a 1-tail, and r then 1 with a 0-tail."""
-    table = np.empty(2 << bound, dtype=np.uint64)
+    Lanes are the narrowest unsigned words with a bit to spare above the tail
+    bit, so that the carry in _delta_scan never wraps.  Entries 2**m up to
+    2**(m+1) are the prefixes of length m in product order, each followed by
+    the tail that differs from its last bit: prefix r of length m-1 gives r
+    then 0 with a 1-tail, and r then 1 with a 0-tail."""
+    table = np.empty(2 << bound, dtype=np.min_scalar_type((4 << width) - 1))
     table[:2] = (0, (2 << width) - 1)
     for m in range(1, bound + 1):
-        prefixes = table[1 << (m - 1) : 1 << m] & np.uint64((1 << (m - 1)) - 1)
+        prefixes = table[1 << (m - 1) : 1 << m] & ((1 << (m - 1)) - 1)
         level = table[1 << m : 2 << m].reshape(-1, 2)
-        level[:, 0] = prefixes | np.uint64((2 << width) - (1 << m))
-        level[:, 1] = prefixes | np.uint64(1 << (m - 1))
+        level[:, 0] = prefixes | ((2 << width) - (1 << m))
+        level[:, 1] = prefixes | (1 << (m - 1))
     return table
 
 
@@ -608,16 +611,14 @@ def _element_at(c: int) -> Element:
 
 
 def _delta_scan(v, width: int):
-    """Cumulative-conjunction delta on packed lanes of width coordinates and a tail bit."""
-    full = np.uint64((1 << width) - 1)
-    if np.any(v == full):
+    """Delta on packed lanes of width coordinates and a tail bit, as the trailing
+    ones of each lane: bit j of v & ~(v + 1) is the conjunction of bits 0..j.
+    The lane's spare bit takes the carry out of an all-ones lane."""
+    full = (1 << width) - 1
+    if (v == full).any():
         raise AssertionError("truncation width exceeded in oracle")
-    pa = v
-    s = 1
-    while s <= width:
-        pa = pa & ((pa << np.uint64(s)) | np.uint64((1 << s) - 1))
-        s <<= 1
-    return ((pa << np.uint64(1)) | np.uint64(1)) & full | pa & np.uint64(1 << width)
+    pa = v & ~(v + 1)
+    return ((pa << 1) | 1) & full | pa & (1 << width)
 
 
 def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
@@ -657,7 +658,8 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     width = max(settle, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
-    top = np.uint64((2 << width) - 1)
+    lane = np.min_scalar_type((4 << width) - 1).type
+    top = lane((2 << width) - 1)
 
     n = 2 ** (bound + 1)  # len(elements_up_to(bound)), known before any is built
     k = len(dag.variables)
@@ -678,7 +680,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             if kind is Var:
                 vals[i] = var_vals[op[1]]
             elif kind is Const:
-                vals[i] = top if op[1] else np.uint64(0)
+                vals[i] = top if op[1] else lane(0)
             elif kind is Delta:
                 vals[i] = _delta_scan(vals[op[1]], width)
             else:

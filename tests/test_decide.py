@@ -478,6 +478,25 @@ def test_brute_force_scans_every_delta_array(monkeypatch):
     assert sum(scanned) == 3 * n
 
 
+@pytest.mark.parametrize("width, itemsize", [(6, 1), (7, 2), (14, 2), (15, 4), (30, 4), (31, 8), (62, 8)])
+def test_brute_force_at_lane_dtype_boundaries(monkeypatch, width, itemsize):
+    # a lane needs width + 2 bits, the tail and a spare bit above it, so each
+    # width here is the widest or the narrowest of its dtype
+    tables = []
+    build = decide_module._lane_table
+
+    def spy(bound, w):
+        tables.append((w, build(bound, w)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(decide_module, "_lane_table", spy)
+    for q in (query([(f"p & {'D' * (width - 2)}0", "Dp")]), query([(f"D(p & {'D' * (width - 3)}0)", "Dp")])):
+        tables.clear()
+        assert brute_force(q, 1) == _reference_first_hit(q, 1)
+        [(w, table)] = tables
+        assert w == width and table.dtype.itemsize == itemsize
+
+
 def test_check_verdict_valid_verdict_against_oracle_hit():
     q = query([("Dp", "p")])
     assert brute_force(q, 1) == {"p": ZERO}

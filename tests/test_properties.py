@@ -1,12 +1,14 @@
 """Property tests: parser round trip, transducer lanes against exact
-evaluation, decider, oracle and replay agreeing, the decider against the
-reference decider, and the CLI's exit codes."""
+evaluation, decider, oracle and replay agreeing, the oracle's delta kernel
+against the reference delta, the decider against the reference decider, and
+the CLI's exit codes."""
 
 import contextlib
 import dataclasses
 import io
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -32,6 +34,7 @@ from magari import (
     compose_key,
     coordinate,
     decide,
+    delta_reference,
     evaluate,
     format_formula,
     free_vars,
@@ -42,6 +45,7 @@ from magari import (
     variable_keys,
 )
 from magari.cli import main
+from magari.decide import _delta_scan
 
 from helpers import random_formula, reference_decide
 
@@ -98,6 +102,36 @@ _QUERIES = st.builds(
 @given(_QUERIES)
 def test_decider_oracle_and_replay_agree(q):
     check_verdict(q, decide(q), 2)
+
+
+_LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@settings(PROPERTY, max_examples=20)  # each example covers all 112 widths and dtypes
+@given(st.randoms(use_true_random=False))
+def test_delta_scan_is_the_reference_delta_of_lane_coordinates(rng):
+    # Bits 0..width of an oracle lane are coordinates 1..width+1, the last one
+    # the tail.  Every width 1..62 in every dtype with room for the tail and a
+    # spare bit; lanes with a drawn run of trailing ones, any lanes, 0 and top.
+    for width in range(1, 63):
+        top, full = (2 << width) - 1, (1 << width) - 1
+
+        def coords(v):
+            return tuple(int(v) >> j & 1 for j in range(width + 1))
+
+        runs = [(rng.getrandbits(width + 1) << ones + 1 | (1 << ones) - 1) & top
+                for ones in (rng.randint(0, width + 1) for _ in range(4))]
+        values = [v for v in runs + [rng.getrandbits(width + 1) for _ in range(4)] + [0, top] if v != full]
+        want = [delta_reference(coords(v)) for v in values]
+        for lane in (t for t in _LANE_TYPES if np.iinfo(t).bits >= width + 2):
+            got = _delta_scan(np.array(values, dtype=lane), width)
+            assert got.dtype == lane and [coords(v) for v in got] == want
+            scalars = [_delta_scan(lane(v), width) for v in values]
+            assert all(type(v) is lane for v in scalars) and [coords(v) for v in scalars] == want
+            assert _delta_scan(lane(top), width) == top
+            for v in (lane(full), np.array([top, full], dtype=lane)):
+                with pytest.raises(AssertionError, match="truncation width exceeded"):
+                    _delta_scan(v, width)
 
 
 @PROPERTY
