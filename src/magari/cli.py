@@ -2,10 +2,10 @@
 
 Verbs: eval, check, member, closure, synthesize, verify-paper.  Exit codes:
 0 success or PASS, 1 a valid run with a negative outcome (counterexample,
-non-membership, failed verification), 2 usage or parse errors, 3 internal
-consistency violations: any AssertionError, such as a disagreement that
-decide.check_verdict raises (decider versus oracle, or a lasso that fails
-replay) in check and verify-paper alike.
+non-membership, failed verification), 2 usage or parse errors and running out
+of memory, 3 internal consistency violations: any AssertionError, such as a
+disagreement that decide.check_verdict raises (decider versus oracle, or a
+lasso that fails replay) in check and verify-paper alike.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except AssertionError as e:
         print(f"internal consistency violation: {e}", file=sys.stderr)

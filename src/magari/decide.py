@@ -28,11 +28,10 @@ a path to SAFE from the successor of each violating transition as it meets it
 and stops at the first that has one.  A look tests SAFE where it expands a
 configuration; a failed one marks every configuration it visited as hopeless,
 so later looks skip them, none is tested twice and the whole search stays
-linear in the transitions.  Letters and configurations are bit-sliced: bit
-c*L + l of an int lane is configuration c of a batch under letter l, L letters
-in all, so one transducer step covers every letter of the configurations a
-search has queued, up to _BATCH_LANES lane bits, and the letters sharing a
-successor and a violation form one transition, named by the lowest of them.
+linear in the transitions.  Letters are bit-sliced: bit l of an int lane is
+letter l, so one transducer step covers every letter of one configuration, and
+the letters sharing a successor and a violation form one transition, named by
+the lowest of them.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the lasso depends only on the configurations words reach,
@@ -42,17 +41,17 @@ path reaches SAFE, then the shortlex-least such path to SAFE, then the lowest
 loop letter.  A query compiles once, on first use, into QuasiQuery.transducer;
 decide and the independent brute_force oracle both read that one DAG of
 class-tagged nodes and share one table of Boolean connectives, _BOOL, each on
-its own lanes (ints of (configuration, letter) pairs, numpy arrays of
-truncations).  An oracle lane packs a value truncated to width coordinates
-into the narrowest unsigned word with a bit to spare above the tail: bit j is
-coordinate j+1 and bit width the tail, which a 1-tail fills down to the end of
-the prefix.  The oracle gives each variable its own axis of the assignment box,
-so a node's array spans only the variables it depends on; it walks the box in
-doubling slabs of the first variable's axis and stops at the first slab
-holding a hit.  It realizes delta by its own cumulative conjunction, the
-trailing ones of each lane found by one carry, not by transducer memory.
-check_verdict holds a verdict's lasso against exact evaluation and, given a
-bound, the verdict against the oracle; every disagreement raises.
+its own lanes (ints over the letters, numpy arrays of truncations).  An oracle
+lane packs a value truncated to width coordinates into the narrowest unsigned
+word with a bit to spare above the tail: bit j is coordinate j+1 and bit width
+the tail, which a 1-tail fills down to the end of the prefix.  The oracle
+gives each variable its own axis of the assignment box, so a node's array
+spans only the variables it depends on; it walks the box in doubling slabs of
+the first variable's axis and stops at the first slab holding a hit.  It
+realizes delta by its own cumulative conjunction, the trailing ones of each
+lane found by one carry, not by transducer memory.  check_verdict holds a
+verdict's lasso against exact evaluation and, given a bound, the verdict
+against the oracle; every disagreement raises.
 
 machine_key names the minimal machine of one formula, so that equal
 formulas, and only they, get equal keys without a decide.  A key is itself
@@ -135,8 +134,8 @@ class Verdict:
 
 
 # Core connectives on bit vectors whose all-ones value is top: a bit per
-# (configuration, letter) pair in a transducer lane, every coordinate bit and
-# the tail bit in an oracle lane.
+# letter in a transducer lane, every coordinate bit and the tail bit in an
+# oracle lane.
 _BOOL = {
     Not: lambda top, a: top ^ a,
     And: lambda top, a, b: a & b,
@@ -154,23 +153,6 @@ def _alphabet(n_vars: int) -> tuple[tuple[Letter, ...], Lanes]:
     letters = tuple(product((0, 1), repeat=n_vars))
     masks = tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n_vars))
     return letters, ((1 << len(letters)) - 1, masks)
-
-
-# Most (configuration, letter) lanes one step covers; an alphabet this wide
-# or wider steps one configuration at a time.
-_BATCH_LANES = 1024
-
-
-@cache
-def _tiled(n_vars: int, n_configs: int) -> Lanes:
-    """The lanes of n_configs configurations side by side, each under every
-    letter: top and each variable's mask repeated n_configs times.  Callers
-    cap a batch at _BATCH_LANES lane bits or one configuration, which bounds
-    the cache."""
-    one, masks = _alphabet(n_vars)[1]
-    top = (1 << n_configs * one.bit_length()) - 1
-    tile = top // one
-    return top, tuple(m * tile for m in masks)
 
 
 @dataclass(frozen=True)
@@ -194,9 +176,8 @@ class Transducer:
         """One step for every lane bit at once: each root's output lane and
         each memory bit's keep lane.  top is the all-ones lane, var_masks a
         mask per variable and memory a lane per memory bit; a lane bit is a
-        letter, or a (configuration, letter) pair when top spans several
-        configurations.  A delta node emits its memory bit (the past
-        conjunction, 1 at step 1) and keeps it where its child outputs 1."""
+        letter.  A delta node emits its memory bit (the past conjunction, 1 at
+        step 1) and keeps it where its child outputs 1."""
         nodes = self.nodes
         out = [0] * len(nodes)
         keep = [0] * self.state_width
@@ -214,22 +195,6 @@ class Transducer:
             else:
                 out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
         return tuple(out[r] for r in self.roots), keep
-
-    def step_configs(self, configs: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-        """One step of every configuration under every letter, in one step
-        call: bit c*L + l of each lane is configs[c] under letter l, where L
-        is the number of letters."""
-        n_letters = 1 << len(self.variables)
-        block = (1 << n_letters) - 1  # the lane bits of the current configuration
-        memory = [0] * self.state_width
-        for s in configs:
-            while s:
-                low = s & -s
-                memory[low.bit_length() - 1] |= block
-                s ^= low
-            block <<= n_letters
-        top, masks = _tiled(len(self.variables), len(configs))
-        return self.step(memory, top, masks)
 
     def run(self, assignment, n: int) -> list[tuple[int, ...]]:
         """Root outputs for steps 1..n under the given element assignment."""
@@ -331,12 +296,6 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
     return Transducer(tuple(nodes), root_ids, tuple(var_index), state)
 
 
-def delta_nodes(f: Formula) -> int:
-    """Number of Delta subterms of desugar(f) distinct up to AC and idempotence
-    of & and |; shared subterms count once."""
-    return compile_roots([f]).state_width
-
-
 # === Canonical minimal machines ===
 
 
@@ -418,13 +377,11 @@ def decide(query: QuasiQuery) -> Verdict:
         return Verdict(True)  # each conclusion's sides compiled to one node
     letters, lanes = _alphabet(len(t.variables))
     top = lanes[0]
-    n_letters = len(letters)
     width = range(t.state_width)
 
     def split(outs: tuple[int, ...]) -> tuple[int, int]:
-        """Lane bits that keep every hypothesis, and those of them that violate a
-        conclusion; hyp starts at -1, all ones, so it fits lanes of any width."""
-        hyp = -1
+        """Letters that keep every hypothesis, and those of them that violate a conclusion."""
+        hyp = top
         for i in range(0, nh2, 2):
             hyp &= ~(outs[i] ^ outs[i + 1])
         viol = 0
@@ -433,40 +390,27 @@ def decide(query: QuasiQuery) -> Verdict:
         return hyp, viol & hyp
 
     memo: dict[int, list[tuple[Letter, int, bool]]] = {}
-    per_batch = max(1, _BATCH_LANES // n_letters)
 
-    def edges(state: int, queue: list[int], qi: int) -> list[tuple[Letter, int, bool]]:
+    def edges(state: int) -> list[tuple[Letter, int, bool]]:
         """Hypothesis-true transitions out of a configuration in letter order, one
-        (lowest letter, successor, violates) per group of letters sharing the last two.
-
-        A miss steps state together with the configurations queue holds from
-        index qi on that are not yet memoized, up to per_batch of them."""
+        (lowest letter, successor, violates) per group of letters sharing the last two."""
         got = memo.get(state)
         if got is not None:
             return got
-        batch = [state]
-        while len(batch) < per_batch and qi < len(queue):
-            if queue[qi] not in memo:
-                batch.append(queue[qi])
-            qi += 1
-        outs, keep = t.step_configs(batch)
-        hyp_lane, viol_lane = split(outs)
-        for c, cfg in enumerate(batch):
-            shift = c * n_letters
-            hyp = hyp_lane >> shift & top
-            got = memo[cfg] = []
-            if not hyp:
-                continue
-            viol = viol_lane >> shift & hyp
-            kept = [k >> shift & hyp for k in keep]
-            # (letters, successor) pairs, split by each partly kept memory bit and by viol
-            groups = [(hyp, sum(1 << b for b in width if kept[b] == hyp))]
-            for k, bit in [(kept[b], 1 << b) for b in width] + [(viol, 0)]:
-                if k and k != hyp:
-                    groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
-            for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
-                got.append((letters[lo.bit_length() - 1], s, v != 0))
-        return memo[state]
+        outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
+        hyp, viol = split(outs)
+        got = memo[state] = []
+        if not hyp:
+            return got
+        kept = [k & hyp for k in keep]
+        # (letters, successor) pairs, split by each partly kept memory bit and by viol
+        groups = [(hyp, sum(1 << b for b in width if kept[b] == hyp))]
+        for k, bit in [(kept[b], 1 << b) for b in width] + [(viol, 0)]:
+            if k and k != hyp:
+                groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
+        for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
+            got.append((letters[lo.bit_length() - 1], s, v != 0))
+        return got
 
     def safe_letter(state: int) -> Letter | None:
         """Lowest letter that, repeated from a configuration, keeps the hypotheses
@@ -494,11 +438,11 @@ def decide(query: QuasiQuery) -> Verdict:
             return None
         par: dict[int, tuple[int, Letter] | None] = {c: None}
         queue = [c]
-        for qi, cur in enumerate(queue, 1):
+        for cur in queue:
             loop = safe_letter(cur)
             if loop is not None:
                 return _walk_back(par, cur), loop
-            for let, s, _ in edges(cur, queue, qi):
+            for let, s, _ in edges(cur):
                 if s not in par and s not in hopeless:
                     par[s] = (cur, let)
                     queue.append(s)
@@ -509,8 +453,8 @@ def decide(query: QuasiQuery) -> Verdict:
     # the first violating one whose successor reaches SAFE is the answer.
     order = [t.initial_state]
     parent: dict[int, tuple[int, Letter] | None] = {t.initial_state: None}
-    for qi, cfg in enumerate(order, 1):
-        for letter, succ, viol in edges(cfg, order, qi):
+    for cfg in order:
+        for letter, succ, viol in edges(cfg):
             if succ not in parent:
                 parent[succ] = (cfg, letter)
                 order.append(succ)

@@ -180,11 +180,6 @@ def witness_queries(w: ParametricWitness) -> tuple[QuasiQuery, QuasiQuery]:
     return QuasiQuery((defining,), w.pairs), QuasiQuery(w.pairs, (defining,))
 
 
-def check_parametric_witness(w: ParametricWitness) -> tuple[Verdict, Verdict]:
-    forward, backward = witness_queries(w)
-    return decide(forward), decide(backward)
-
-
 def negation_witness(i: int, f: Formula) -> ParametricWitness:
     return ParametricWitness(
         target=Not(Var("p")),

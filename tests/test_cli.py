@@ -364,6 +364,18 @@ def test_deep_nesting_is_a_usage_error(capsys, argv):
     assert err.strip() == "error: formula nested too deeply"
 
 
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # exit 1 means a counterexample, so running out of memory must not reach it
+    def exhausted(query):
+        raise MemoryError
+
+    monkeypatch.setattr(magari.cli, "decide", exhausted)
+    code, out, err = run(capsys, "check", "--concl", "Dp = p")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: out of memory"
+
+
 def test_check_oracle_box_over_budget_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "--concl", "p & q = q & r", "--oracle-bound", "8")
     assert code == 2

@@ -19,7 +19,6 @@ from magari import (
     QuasiQuery,
     Var,
     Verdict,
-    check_parametric_witness,
     class_constant,
     decide,
     delta_definer,
@@ -138,9 +137,9 @@ def test_definer_pins_value_exactly_on_graph():
 def test_witnesses_check_out():
     for i in (1, 3):
         for f in (parse("!p"), parse("Dp")):
-            fwd, bwd = check_parametric_witness(negation_witness(i, f))
+            fwd, bwd = map(decide, witness_queries(negation_witness(i, f)))
             assert fwd.valid and bwd.valid
-            fwd, bwd = check_parametric_witness(delta_witness(i, f))
+            fwd, bwd = map(decide, witness_queries(delta_witness(i, f)))
             assert fwd.valid and bwd.valid
 
 
@@ -165,9 +164,9 @@ def test_corrupted_witness_is_caught():
         And(Not(Nabla(q)), a_term),
     )
     w = ParametricWitness(target=Delta(p), output_var="q", pairs=(Equation(bad, c_term),))
-    fwd, bwd = check_parametric_witness(w)
-    assert not (fwd.valid and bwd.valid)
     fq, bq = witness_queries(w)
+    fwd, bwd = decide(fq), decide(bq)
+    assert not (fwd.valid and bwd.valid)
     for verdict, query in ((fwd, fq), (bwd, bq)):
         if not verdict.valid:
             assert replay(verdict.lasso, query)

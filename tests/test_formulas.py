@@ -18,8 +18,8 @@ from magari import (
     Or,
     ParseError,
     Var,
+    compile_roots,
     constant_fold,
-    delta_nodes,
     desugar,
     evaluate_closed,
     format_formula,
@@ -164,24 +164,24 @@ def test_modal_depth():
 
 
 def test_delta_nodes_counts_distinct_shared():
-    assert delta_nodes(parse("Dp")) == 1
-    assert delta_nodes(parse("Dp & Dp")) == 1
-    assert delta_nodes(parse("Dp & Dq")) == 2
-    assert delta_nodes(parse("#p")) == 1
-    assert delta_nodes(parse("@p")) == 3
-    assert delta_nodes(parse("p & q")) == 0
+    assert compile_roots([parse("Dp")]).state_width == 1
+    assert compile_roots([parse("Dp & Dp")]).state_width == 1
+    assert compile_roots([parse("Dp & Dq")]).state_width == 2
+    assert compile_roots([parse("#p")]).state_width == 1
+    assert compile_roots([parse("@p")]).state_width == 3
+    assert compile_roots([parse("p & q")]).state_width == 0
     # distinct up to AC and idempotence of & and |
-    assert delta_nodes(parse("D(p & q) & D(q & p)")) == 1
-    assert delta_nodes(parse("D(p | q | p) & D(q | p)")) == 1
-    assert delta_nodes(parse("D(p -> q) & D(q -> p)")) == 2
+    assert compile_roots([parse("D(p & q) & D(q & p)")]).state_width == 1
+    assert compile_roots([parse("D(p | q | p) & D(q | p)")]).state_width == 1
+    assert compile_roots([parse("D(p -> q) & D(q -> p)")]).state_width == 2
     # closed Delta subterms count too
-    assert delta_nodes(parse("D0 & DD0")) == 2
-    assert delta_nodes(parse("#D0 & @1")) == 5
+    assert compile_roots([parse("D0 & DD0")]).state_width == 2
+    assert compile_roots([parse("#D0 & @1")]).state_width == 5
 
 
 def test_delta_nodes_is_linear_in_nested_nabla():
     start = time.perf_counter()
-    assert delta_nodes(parse("@" * 8 + "p")) == 24
+    assert compile_roots([parse("@" * 8 + "p")]).state_width == 24
     assert time.perf_counter() - start < 2.0
 
 
