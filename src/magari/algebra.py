@@ -143,20 +143,6 @@ def nabla(a: Element) -> Element:
     return box(negate(box(negate(box(a)))))
 
 
-def delta_power(i: int) -> Element:
-    """delta applied i times to zero: i ones followed by zeros."""
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
-    return Element((1,) * i, 0)
-
-
-def neg_delta_power(i: int) -> Element:
-    """Complement of delta_power(i): i zeros followed by ones."""
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
-    return Element((0,) * i, 1)
-
-
 def elements_up_to(max_prefix: int) -> list[Element]:
     """All canonical Elements with prefix length <= max_prefix, in a fixed order.
 

@@ -130,7 +130,7 @@ def _print_summary(report: dict) -> None:
     for cell in report["cells"]:
         print(f"i={cell['class']} witness={cell['formula']} {'PASS' if cell['passed'] else 'FAIL'}")
         if not cell["passed"]:
-            for key in ("outside_class", "constant_differs", "negation_wrapper_in_class",
+            for key in ("outside_class", "negation_wrapper_in_class",
                         "delta_wrapper_in_class", "negation_forward", "negation_backward",
                         "delta_forward", "delta_backward"):
                 print(f"  {key}: {cell[key]}")

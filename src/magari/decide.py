@@ -28,10 +28,11 @@ a path to SAFE from the successor of each violating transition as it meets it
 and stops at the first that has one.  A look tests SAFE where it expands a
 configuration; a failed one marks every configuration it visited as hopeless,
 so later looks skip them, none is tested twice and the whole search stays
-linear in the transitions.  Letters are bit-sliced: bit l of an int lane is
-letter l, so one transducer step covers every letter of one configuration, and
-the letters sharing a successor and a violation form one transition, named by
-the lowest of them.
+linear in the transitions.  Letters are bit-sliced ints: letter l is bit l of
+a lane, its binary digits the variables' bits, the first variable highest.  So
+one transducer step covers every letter of one configuration, and the letters
+sharing a successor and a violation form one transition, named by the lowest
+of them; only a Lasso holds a letter as a tuple of bits.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the lasso depends only on the configurations words reach,
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -145,14 +145,26 @@ _BOOL = {
 
 Lanes = tuple[int, tuple[int, ...]]  # (top, one mask per variable)
 
+# Most variables a letter may carry: 2**26 letters, so one transducer lane is 8 MiB.
+ALPHABET_VARIABLES = 26
+
 
 @cache
-def _alphabet(n_vars: int) -> tuple[tuple[Letter, ...], Lanes]:
-    """Every letter in product order, and the lanes that slice them: bit l of
-    variable i's mask is that variable's bit in letter l."""
-    letters = tuple(product((0, 1), repeat=n_vars))
-    masks = tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n_vars))
-    return letters, ((1 << len(letters)) - 1, masks)
+def _alphabet(n_vars: int) -> Lanes:
+    """(top, masks) over the letters in product order: bit l of variable i's
+    mask is bit n_vars-1-i of l.  Built by doubling, in linear time: a new first
+    variable owns the upper half, each earlier mask repeats in both halves.
+    Over ALPHABET_VARIABLES variables is refused with ValueError."""
+    if n_vars > ALPHABET_VARIABLES:
+        raise ValueError(
+            f"{n_vars} variables give 2**{n_vars} letters, over the budget of 2**{ALPHABET_VARIABLES} letters"
+        )
+    top, masks = 1, ()
+    for _ in range(n_vars):
+        half = top.bit_length()
+        masks = (top << half,) + tuple(m << half | m for m in masks)
+        top = top << half | top
+    return top, masks
 
 
 @dataclass(frozen=True)
@@ -214,18 +226,31 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
     """Compile formulas jointly: desugared, subterms shared, closed ones too,
     distinct up to AC and idempotence of & and |.
 
-    Each maximal & chain and each maximal | chain becomes the left-leaning
-    chain of its distinct operand nodes in node order, so chains with the same
-    operand set are one node; & and | chains never merge, and -> and ! are kept
-    as parsed.  Letters read variables in the given order, which must cover
-    every free variable (ValueError otherwise), or by default the free
-    variables in name order."""
+    Every node is interned by its key (class and child positions) in one
+    table, and a new Delta node takes the next memory bit.  Each maximal &
+    chain and each maximal | chain becomes the left-leaning chain of its
+    distinct operand nodes in node order, so chains with the same operand set
+    are one node; & and | chains never merge, and -> and ! are kept as parsed.
+    Letters read variables in the given order, which must cover every free
+    variable (ValueError otherwise), or by default the free variables in name
+    order."""
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     state = 0
     built: dict[int, int] = {}  # by id: desugar shares sub-objects, so a tree walk is exponential
     var_nodes: dict[str, int] = {}  # name -> node position
     gathered: dict[int, set[int]] = {}  # by id, likewise: a chain object's operand nodes
+
+    def node(key: tuple) -> int:
+        nonlocal state
+        got = index.get(key)
+        if got is None:
+            got = index[key] = len(nodes)
+            if key[0] is Delta:
+                key += (state,)
+                state += 1
+            nodes.append(key)
+        return got
 
     def operands(f: Formula, cls: type) -> set[int]:
         got = gathered.get(id(f))
@@ -237,7 +262,6 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
         return got
 
     def build(f: Formula) -> int:
-        nonlocal state
         got = built.get(id(f))
         if got is not None:
             return got
@@ -247,37 +271,20 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
             if type(lhs) is cls or type(rhs) is cls:
                 got, *rest = sorted(operands(f, cls))
                 for b in rest:
-                    key = (cls, got, b)
-                    got = index.get(key)
-                    if got is None:
-                        got = index[key] = len(nodes)
-                        nodes.append(key)
-                built[id(f)] = got
-                return got
-            a, b = build(lhs), build(rhs)  # the common two-operand chain, without a set
-            if a == b:
-                built[id(f)] = a
-                return a
-            key = (cls, a, b) if a < b else (cls, b, a)
+                    got = node((cls, got, b))
+            else:  # the common two-operand chain, without a set
+                a, b = build(lhs), build(rhs)
+                got = a if a == b else node((cls, a, b) if a < b else (cls, b, a))
         elif cls is Var:
-            key = (Var, f.name)
+            got = var_nodes[f.name] = node((Var, f.name))
         elif cls is Const:
-            key = (Const, f.value)
+            got = node((Const, f.value))
         elif cls is Not or cls is Delta:
-            key = (cls, build(f.arg))
+            got = node((cls, build(f.arg)))
         elif cls is Implies:
-            key = (cls, build(f.lhs), build(f.rhs))
+            got = node((cls, build(f.lhs), build(f.rhs)))
         else:
             raise TypeError(f"unexpected node after desugar: {f!r}")
-        got = index.get(key)
-        if got is None:
-            got = index[key] = len(nodes)
-            if cls is Delta:
-                key += (state,)
-                state += 1
-            elif cls is Var:
-                var_nodes[f.name] = got
-            nodes.append(key)
         built[id(f)] = got
         return got
 
@@ -301,7 +308,7 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
 
 def variable_keys(n_vars: int) -> tuple[tuple, ...]:
     """Each variable's key: one block, emitting the variable's letter bits."""
-    top, masks = _alphabet(n_vars)[1]
+    top, masks = _alphabet(n_vars)
     stay = (0,) * top.bit_length()
     return tuple(((m, stay),) for m in masks)
 
@@ -332,7 +339,7 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
     equivalent machines; a minimal machine is unique up to isomorphism, and
     the numbering fixes the isomorphism.
     """
-    top = _alphabet(n_vars)[1][0]
+    top = _alphabet(n_vars)[0]
     letters = range(top.bit_length())
     width = range(t.state_width)
     start = (0,) * len(operands) + (t.initial_state,)
@@ -375,7 +382,7 @@ def decide(query: QuasiQuery) -> Verdict:
     nh2, n_roots = 2 * len(query.hypotheses), len(t.roots)
     if all(t.roots[j] == t.roots[j + 1] for j in range(nh2, n_roots, 2)):
         return Verdict(True)  # each conclusion's sides compiled to one node
-    letters, lanes = _alphabet(len(t.variables))
+    lanes = _alphabet(len(t.variables))
     top = lanes[0]
     width = range(t.state_width)
 
@@ -389,9 +396,9 @@ def decide(query: QuasiQuery) -> Verdict:
             viol |= outs[j] ^ outs[j + 1]
         return hyp, viol & hyp
 
-    memo: dict[int, list[tuple[Letter, int, bool]]] = {}
+    memo: dict[int, list[tuple[int, int, bool]]] = {}
 
-    def edges(state: int) -> list[tuple[Letter, int, bool]]:
+    def edges(state: int) -> list[tuple[int, int, bool]]:
         """Hypothesis-true transitions out of a configuration in letter order, one
         (lowest letter, successor, violates) per group of letters sharing the last two."""
         got = memo.get(state)
@@ -408,11 +415,10 @@ def decide(query: QuasiQuery) -> Verdict:
         for k, bit in [(kept[b], 1 << b) for b in width] + [(viol, 0)]:
             if k and k != hyp:
                 groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
-        for lo, s, v in sorted((p & -p, s, p & viol) for p, s in groups):
-            got.append((letters[lo.bit_length() - 1], s, v != 0))
+        got += sorted(((p & -p).bit_length() - 1, s, (p & viol) != 0) for p, s in groups)
         return got
 
-    def safe_letter(state: int) -> Letter | None:
+    def safe_letter(state: int) -> int | None:
         """Lowest letter that, repeated from a configuration, keeps the hypotheses
         until a fixpoint: the lowest of those whose hypotheses held at every pass,
         once it stops moving.  All letters walk at once, each memory bit a lane."""
@@ -423,7 +429,7 @@ def decide(query: QuasiQuery) -> Verdict:
             alive &= split(outs)[0]
             low = alive & -alive
             if not any((m ^ k) & low for m, k in zip(memory, keep)):
-                return letters[low.bit_length() - 1] if low else None
+                return low.bit_length() - 1 if low else None
             memory = keep
         raise AssertionError("no fixpoint within the monotone stabilization bound")
 
@@ -431,12 +437,12 @@ def decide(query: QuasiQuery) -> Verdict:
     # can reach nothing they cannot, so a failed search marks all it visited.
     hopeless: set[int] = set()
 
-    def path_to_safe(c: int) -> tuple[list[Letter], Letter] | None:
+    def path_to_safe(c: int) -> tuple[list[int], int] | None:
         """Letters from c to the first SAFE configuration in discovery order, and
         its loop letter; SAFE is tested where a configuration is expanded."""
         if c in hopeless:
             return None
-        par: dict[int, tuple[int, Letter] | None] = {c: None}
+        par: dict[int, tuple[int, int] | None] = {c: None}
         queue = [c]
         for cur in queue:
             loop = safe_letter(cur)
@@ -452,7 +458,7 @@ def decide(query: QuasiQuery) -> Verdict:
     # Breadth-first over hypothesis-true transitions from the all-ones start;
     # the first violating one whose successor reaches SAFE is the answer.
     order = [t.initial_state]
-    parent: dict[int, tuple[int, Letter] | None] = {t.initial_state: None}
+    parent: dict[int, tuple[int, int] | None] = {t.initial_state: None}
     for cfg in order:
         for letter, succ, viol in edges(cfg):
             if succ not in parent:
@@ -463,21 +469,15 @@ def decide(query: QuasiQuery) -> Verdict:
                 if found is not None:
                     pre = _walk_back(parent, cfg)
                     tail_path, loop = found
-                    return Verdict(
-                        False,
-                        Lasso(
-                            variables=t.variables,
-                            prefix=tuple(pre) + (letter,) + tuple(tail_path),
-                            loop_letter=loop,
-                            violation_step=len(pre) + 1,
-                        ),
-                    )
+                    n = len(t.variables)  # decoded once, in product order: the first variable is the high bit
+                    word = [tuple(l >> (n - 1 - i) & 1 for i in range(n)) for l in [*pre, letter, *tail_path, loop]]
+                    return Verdict(False, Lasso(t.variables, tuple(word[:-1]), word[-1], len(pre) + 1))
     return Verdict(True)
 
 
-def _walk_back(parent: dict, c: int) -> list[Letter]:
+def _walk_back(parent: dict, c: int) -> list[int]:
     """Letters along the parent links from the search root to c."""
-    back: list[Letter] = []
+    back: list[int] = []
     while parent[c] is not None:
         c, letter = parent[c]
         back.append(letter)

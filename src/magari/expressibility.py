@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Element, neg_delta_power
+from .algebra import Element
 from .decide import Equation, Lasso, QuasiQuery, Verdict, check_verdict, compile_roots, compose_key, decide, variable_keys
 from .formulas import (
     And,
@@ -51,7 +51,7 @@ def class_constant(i: int) -> Element:
     """The preserved element of the i-th class: i zeros followed by ones."""
     if i < 1:
         raise ValueError(f"class index must be >= 1, got {i}")
-    return neg_delta_power(i)
+    return Element((0,) * i, 1)
 
 
 def preserves(i: int, f: Formula) -> bool:
@@ -203,8 +203,8 @@ def delta_witness(i: int, f: Formula) -> ParametricWitness:
 class PrecompletenessReport:
     """Outcome of checking one class against one outside formula.
 
-    ``passed`` means: the formula is outside the class, its displaced
-    constant differs from the class constant, both wrapper formulas are in
+    ``passed`` means: the formula is outside the class (its displaced
+    constant differs from the class constant), both wrapper formulas are in
     the class, and all four entailments are valid.  Counterexample lassos,
     if any, replay successfully before being reported.  ``oracle_agreed`` is
     True when an oracle bound was given, since a disagreement raises, and
@@ -215,7 +215,6 @@ class PrecompletenessReport:
     formula: Formula
     outside_class: bool
     constant: Element | None = None
-    constant_differs: bool = False
     negation_wrapper_in_class: bool = False
     delta_wrapper_in_class: bool = False
     negation_forward: Verdict | None = None
@@ -260,7 +259,6 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
         formula=f,
         outside_class=True,
         constant=c,
-        constant_differs=True,
         negation_wrapper_in_class=in_n,
         delta_wrapper_in_class=in_d,
         **verdicts,

@@ -9,18 +9,19 @@ from magari import (
     Element,
     box,
     canonicalize,
+    class_constant,
     coordinate,
     delta,
-    delta_power,
+    delta_power_term,
     delta_reference,
     element_implies,
+    evaluate_closed,
     elements_up_to,
     format_element,
     join,
     leq,
     meet,
     nabla,
-    neg_delta_power,
     negate,
     parse_element,
     project,
@@ -160,14 +161,17 @@ def test_delta_monotone():
 
 
 def test_delta_power_families():
+    def delta_power(i):
+        return evaluate_closed(delta_power_term(i))
+
     assert delta_power(0) == ZERO
     assert delta_power(1) == parse_element("1(0)")
     assert delta_power(3) == parse_element("111(0)")
-    assert neg_delta_power(2) == parse_element("00(1)")
+    assert class_constant(2) == parse_element("00(1)")
     for i in range(1, 7):
         a = delta_power(i - 1)
         assert delta(a) == delta_power(i)
-        assert negate(delta_power(i)) == neg_delta_power(i)
+        assert negate(delta_power(i)) == class_constant(i)
 
 
 def test_project_is_homomorphism_for_delta():

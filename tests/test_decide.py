@@ -251,6 +251,37 @@ def test_narrow_alphabet_steps_once_per_configuration(step_calls):
     assert len(step_calls) == 148
 
 
+def test_alphabet_lanes_slice_letters_in_product_order():
+    for n in range(13):
+        top, masks = decide_module._alphabet(n)
+        assert top == 2**2**n - 1
+        letters = list(itertools.product((0, 1), repeat=n))
+        assert masks == tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n))
+
+
+def _wide_refutation(n: int) -> tuple[str, str]:
+    conj = " & ".join(f"x{i}" for i in range(n))
+    return conj, f"{conj} & Dx0"
+
+
+def test_wide_refutation_lasso():
+    # 2^16 letters but few configurations: the lasso is found without
+    # touching the letters one by one.
+    v = decide(query([_wide_refutation(16)]))
+    assert not v.valid
+    assert v.lasso.violation_step == 2
+    assert v.lasso.prefix == ((0,) * 16, (1,) * 16)
+    assert v.lasso.loop_letter == (0,) * 16
+
+
+def test_check_over_the_letter_budget_is_a_usage_error(step_calls, capsys):
+    assert magari.cli.main(["check", "--concl", " = ".join(_wide_refutation(27))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: 27 variables give 2**27 letters, over the budget of 2**26 letters"
+    assert step_calls == []
+
+
 def test_hypotheses_matter():
     # congruence instance: from p = 0 it follows that Dp = D0
     q_with = query([("Dp", "D0")], hyps=[("p", "0")])
