@@ -147,6 +147,8 @@ Lanes = tuple[int, tuple[int, ...]]  # (top, one mask per variable)
 
 # Most variables a letter may carry: 2**26 letters, so one transducer lane is 8 MiB.
 ALPHABET_VARIABLES = 26
+# Most lane bits one decide step may hold, one lane per DAG node: 512 MiB.
+STEP_BITS = 2**32
 
 
 @cache
@@ -377,12 +379,17 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
 
 
 def decide(query: QuasiQuery) -> Verdict:
-    """Valid, or a deterministic lasso counterexample on the intended carrier."""
+    """Valid, or a deterministic lasso counterexample on the intended carrier.
+    Over the letter budget or STEP_BITS of lanes a step, refused with ValueError."""
     t = query.transducer
     nh2, n_roots = 2 * len(query.hypotheses), len(t.roots)
     if all(t.roots[j] == t.roots[j + 1] for j in range(nh2, n_roots, 2)):
         return Verdict(True)  # each conclusion's sides compiled to one node
-    lanes = _alphabet(len(t.variables))
+    n_vars, n_nodes = len(t.variables), len(t.nodes)
+    if n_vars <= ALPHABET_VARIABLES and n_nodes << n_vars > STEP_BITS:  # else _alphabet refuses
+        raise ValueError(f"{n_nodes} nodes over 2**{n_vars} letters need {n_nodes << n_vars >> 23} MiB of lanes"
+                         f" a step, over the budget of {STEP_BITS >> 23} MiB")
+    lanes = _alphabet(n_vars)
     top = lanes[0]
     width = range(t.state_width)
 

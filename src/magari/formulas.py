@@ -7,8 +7,8 @@ Concrete syntax (ASCII, with Unicode aliases in parentheses):
     imp     := or [ "->" imp ]             right associative     ("⊃")
     or      := and { "|" and }                                   ("∨")
     and     := unary { "&" unary }                               ("∧")
-    unary   := ("!" | "D" | "#" | "@") unary | atom              ("¬", "Δ", "□", "∇")
-    atom    := "0" | "1" | ident | "(" formula ")"
+    unary   := ("!" | "D" | "#" | "@") unary                     ("¬", "Δ", "□", "∇")
+             | "0" | "1" | ident | "(" formula ")"
     ident   := lowercase letter { lowercase letter | digit | "_" }
 
 "D" is the primitive diagonal operator, "#" the cumulative-conjunction box
@@ -156,7 +156,12 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str) -> list[tuple[str | None, int]]:
+    """(token, position) pairs, ended by the sentinel (None, len(text)).
+
+    A token is a symbol after alias mapping or an identifier's plain name;
+    only an identifier starts with a lowercase letter.
+    """
     tokens = []
     i = 0
     for space, symbol, ident, bad in _TOKEN.findall(text.rstrip()):  # else trailing space lands in `bad`
@@ -168,70 +173,55 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             if bad.isascii() and bad.isupper():
                 raise ParseError(f"reserved or unknown token {bad!r}, variables are lowercase", i)
             raise ParseError(f"unexpected character {bad!r}", i)
-        tokens.append((_ALIASES.get(symbol, symbol), i) if symbol else ("ident:" + ident, i))
+        tokens.append((_ALIASES.get(symbol, symbol), i) if symbol else (ident, i))
         i += len(symbol or ident)
+    tokens.append((None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse(text: str) -> Formula:
+    tokens = _tokenize(text)
+    pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def here(self) -> int:
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
-
-    def parse(self) -> Formula:
-        f = self.infix(_LEVEL_IFF)
-        if self.pos < len(self.tokens):
-            raise ParseError(f"unexpected trailing token {self.peek().removeprefix('ident:')!r}", self.here())
-        return f
-
-    def infix(self, level: int) -> Formula:
+    def infix(level: int) -> Formula:
         """A formula whose infix operators all bind at least as tightly as level."""
-        f = self.unary()
-        while self.peek() in _INFIX and _INFIX[self.peek()][1] >= level:
-            cls, _, rhs_level = _INFIX[self.take()[0]]
-            f = cls(f, self.infix(rhs_level))
+        nonlocal pos
+        f = unary()
+        while (op := tokens[pos][0]) in _INFIX and _INFIX[op][1] >= level:
+            pos += 1
+            cls, _, rhs_level = _INFIX[op]
+            f = cls(f, infix(rhs_level))
         return f
 
-    def unary(self) -> Formula:
-        tok = self.peek()
+    def unary() -> Formula:
+        nonlocal pos
+        tok, at = tokens[pos]
+        if tok is None:
+            raise ParseError("unexpected end of input", at)
+        pos += 1
         if tok in _PREFIX:
-            self.take()
-            return _PREFIX[tok](self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok, at = self.take()
-        if tok == "0":
-            return Const(0)
-        if tok == "1":
-            return Const(1)
-        if tok.startswith("ident:"):
-            return Var(tok[6:])
+            return _PREFIX[tok](unary())
+        if tok.islower():
+            return Var(tok)
         if tok == "(":
-            f = self.infix(_LEVEL_IFF)
-            nxt, nat = self.take() if self.pos < len(self.tokens) else (None, len(self.text))
-            if nxt != ")":
-                raise ParseError("expected ')'", nat)
+            f = infix(_LEVEL_IFF)
+            tok, at = tokens[pos]
+            if tok != ")":
+                raise ParseError("expected ')'", at)
+            pos += 1
             return f
+        if tok == "0" or tok == "1":
+            return Const(int(tok))
         raise ParseError(f"expected a formula, got {tok!r}", at)
 
-
-def parse(text: str) -> Formula:
-    return _Parser(text).parse()
+    try:
+        f = infix(_LEVEL_IFF)
+    finally:
+        del infix, unary  # they hold each other through cells, a cycle only the collector would free
+    tok, at = tokens[pos]
+    if tok is not None:
+        raise ParseError(f"unexpected trailing token {tok!r}", at)
+    return f
 
 
 # === Printing ===

@@ -282,6 +282,18 @@ def test_check_over_the_letter_budget_is_a_usage_error(step_calls, capsys):
     assert step_calls == []
 
 
+def test_check_over_the_step_budget_is_a_usage_error(step_calls, capsys):
+    # 26 variables fit the letter budget, but over 100 nodes of 2**26-bit
+    # lanes would hold several GB in one step
+    terms = [f"D(x{i} | x{(i + 1) % 26})" for i in range(26)]
+    concl = " & ".join(terms) + " = " + " & ".join(reversed(terms)) + " & 1"
+    assert magari.cli.main(["check", "--concl", concl]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: 105 nodes over 2**26 letters need 840 MiB of lanes a step, over the budget of 512 MiB"
+    assert step_calls == []
+
+
 def test_hypotheses_matter():
     # congruence instance: from p = 0 it follows that Dp = D0
     q_with = query([("Dp", "D0")], hyps=[("p", "0")])

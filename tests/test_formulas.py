@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -93,11 +94,36 @@ def test_parse_errors_carry_positions():
         ("p é", "unexpected character 'é'", 2),
         ("p\u200bq", "unexpected character '\\u200b'", 1),
         ("  ", "unexpected end of input", 2),
+        ("p & )", "expected a formula, got ')'", 4),
+        ("()", "expected a formula, got ')'", 1),
+        ("p)", "unexpected trailing token ')'", 1),
+        ("1 0", "unexpected trailing token '0'", 2),
+        ("(p q)", "expected ')'", 3),
+        ("q <-> (p", "expected ')'", 8),
+        ("!", "unexpected end of input", 1),
+        ("D", "unexpected end of input", 1),
+        ("(", "unexpected end of input", 1),
+        ("p ∧ ", "unexpected end of input", 4),
     ]
     for text, message, position in rows:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position), text
+
+
+def test_parse_leaves_no_reference_cycles():
+    # each cycle would wait for the collector, whose passes show as latency spikes
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("p & (q | Dr)", "p & ", "(p q)", "p)"):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_format_examples():
