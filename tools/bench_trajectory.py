@@ -1,6 +1,6 @@
 """Record one point of the benchmark trajectory: BENCH_<pr>.json.
 
-    python3 tools/bench_trajectory.py --pr 22
+    python3 tools/bench_trajectory.py --pr N
 
 For each workload in BENCHMARK.json, runs perfbench/run.py with seed 1 for
 the benchmark's run_seconds, once untraced (--trace 0, the end-to-end
