@@ -54,16 +54,17 @@ lane found by one carry, not by transducer memory.  check_verdict holds a
 verdict's lasso against exact evaluation and, given a bound, the verdict
 against the oracle; every disagreement raises.
 
-machine_key names the minimal machine of one formula, so that equal
-formulas, and only they, get equal keys without a decide.  A key is itself
-that machine, so compose_key keys a superposition s(c1, ..., ck) by running
-the compiled s on its operands' keys, and machine_key is such a composition.
+machine_key names the minimal machine of one formula, so that equal formulas,
+and only they, get equal keys without a decide.  A key is itself that machine,
+so compose_key keys a superposition s(c1, ..., ck) by running the compiled s
+on its operands' keys, one walk of its nodes per configuration rather than a
+Transducer.step, and machine_key is such a composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -151,7 +152,6 @@ ALPHABET_VARIABLES = 26
 STEP_BITS = 2**32
 
 
-@cache
 def _alphabet(n_vars: int) -> Lanes:
     """(top, masks) over the letters in product order: bit l of variable i's
     mask is bit n_vars-1-i of l.  Built by doubling, in linear time: a new first
@@ -328,45 +328,65 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
 
     A key is itself a minimal Mealy machine: per block its output lane over
     the letters and its successor block under each letter, block 0 the start.
-    A configuration is one block per operand and t's memory; the operands'
-    output lanes there are t's variable lanes, so one step gives t's output
-    lane and memory under every letter, and each operand moves to its own
-    successor.  The configurations reachable from the start, listed
-    breadth-first in letter order, form a Mealy machine of the composite.
-    Moore refinement merges the equivalent ones and numbers each block where
-    it first appears in that list, which is breadth-first order on the
-    minimal machine: a block is first reached from the first configuration of
-    an earlier block.  Output k depends only on letters 1..k and every finite
-    word extends to an ultimately constant assignment, so equal formulas are
-    equivalent machines; a minimal machine is unique up to isomorphism, and
-    the numbering fixes the isomorphism.
+    A configuration is one block per operand and t's memory.  One pass over
+    t's nodes, the operands' output lanes as its variable lanes, gives t's
+    output lane and each letter's successor memory, as each Delta node adds
+    its bit to the letters that keep it; each operand moves to its own
+    successor.  Transducer.step would have to branch on its caller to serve
+    here: decide needs a keep lane per memory bit, this a memory per letter.
+    The configurations reachable from the start, listed breadth-first in
+    letter order, form a Mealy machine of the composite.  Moore refinement
+    from the partition by output lane merges the equivalent ones and numbers
+    each block where it first appears in that list, which is breadth-first
+    order on the minimal machine: a block is first reached from the first
+    configuration of an earlier block.  Output k depends only on letters 1..k
+    and every finite word extends to an ultimately constant assignment, so
+    equal formulas are equivalent machines; a minimal machine is unique up to
+    isomorphism, and the numbering fixes the isomorphism.
     """
-    top = _alphabet(n_vars)[0]
-    letters = range(top.bit_length())
-    width = range(t.state_width)
+    top = (1 << (1 << n_vars)) - 1
     start = (0,) * len(operands) + (t.initial_state,)
     index = {start: 0}
     configs = [start]
     out_lane: list[int] = []
     succ: list[list[int]] = []
+    out = [0] * len(t.nodes)
     for *blocks, memory in configs:  # configs grows while it is read: breadth-first
         at = [op[q] for op, q in zip(operands, blocks)]
-        outs, keep = t.step([top & -(memory >> b & 1) for b in width], top, [a[0] for a in at])
-        kept = [sum(1 << b for b in width if keep[b] >> l & 1) for l in letters]
+        kept = [0] * (1 << n_vars)  # each letter's successor memory
+        for i, op in enumerate(t.nodes):
+            kind = op[0]
+            if kind is Delta:
+                cur = out[i] = top if memory >> op[2] & 1 else 0
+                keep = cur & out[op[1]]
+                while keep:  # each letter that keeps the bit
+                    kept[(keep & -keep).bit_length() - 1] |= 1 << op[2]
+                    keep &= keep - 1
+            elif kind is Var:
+                out[i] = at[op[1]][0]
+            elif kind is Const:
+                out[i] = top if op[1] else 0
+            elif kind is Not:
+                out[i] = _BOOL[Not](top, out[op[1]])
+            else:
+                out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
         row = []
         for s in zip(*[a[1] for a in at], kept):  # each letter's successor
             if s not in index:
                 index[s] = len(configs)
                 configs.append(s)
             row.append(index[s])
-        out_lane.append(outs[0])
+        out_lane.append(out[t.roots[0]])
         succ.append(row)
+    if len(configs) == 1:
+        return ((out_lane[0], tuple(succ[0])),)
 
     # Moore refinement by (output lane, successor blocks).  Blocks are numbered
     # in order of first appearance, so equal partitions are equal lists.
-    block = [0] * len(configs)
+    ids: dict = {}
+    block = [ids.setdefault(o, len(ids)) for o in out_lane]
     while True:
-        ids: dict[tuple, int] = {}
+        ids = {}
         refined = [
             ids.setdefault((out_lane[c], tuple(block[s] for s in row)), len(ids)) for c, row in enumerate(succ)
         ]

@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded generators, componentwise reference ops and
-an exact reference decider."""
+"""Shared test utilities: seeded generators, componentwise reference ops, an
+exact reference decider and a reference for closure keys."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from magari import (
     desugar,
     free_vars,
 )
+from magari.decide import Transducer, _alphabet
 
 # === Componentwise reference operations on truncations ===
 
@@ -212,3 +213,43 @@ def reference_decide(query: QuasiQuery) -> Verdict:
         return found and Verdict(False, Lasso(variables, word + found[0], found[1], len(word)))
 
     return bfs(frozenset(), refutes) or Verdict(True)
+
+
+# === Reference closure keys ===
+
+
+def reference_compose_key(t: Transducer, operands, n_vars: int) -> tuple:
+    """compose_key's key, one Transducer.step per configuration.
+
+    The step's keep lanes are transposed into each letter's successor memory,
+    and Moore refinement starts from the partition with one block."""
+    top = _alphabet(n_vars)[0]
+    letters = range(top.bit_length())
+    width = range(t.state_width)
+    start = (0,) * len(operands) + (t.initial_state,)
+    index = {start: 0}
+    configs = [start]
+    out_lane: list[int] = []
+    succ: list[list[int]] = []
+    for *blocks, memory in configs:  # configs grows while it is read: breadth-first
+        at = [op[q] for op, q in zip(operands, blocks)]
+        outs, keep = t.step([top & -(memory >> b & 1) for b in width], top, [a[0] for a in at])
+        kept = [sum(1 << b for b in width if keep[b] >> l & 1) for l in letters]
+        row = []
+        for s in zip(*[a[1] for a in at], kept):  # each letter's successor
+            if s not in index:
+                index[s] = len(configs)
+                configs.append(s)
+            row.append(index[s])
+        out_lane.append(outs[0])
+        succ.append(row)
+
+    block = [0] * len(configs)
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = [
+            ids.setdefault((out_lane[c], tuple(block[s] for s in row)), len(ids)) for c, row in enumerate(succ)
+        ]
+        if refined == block:
+            return tuple(ids)
+        block = refined

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -272,6 +273,20 @@ def test_wide_refutation_lasso():
     assert v.lasso.violation_step == 2
     assert v.lasso.prefix == ((0,) * 16, (1,) * 16)
     assert v.lasso.loop_letter == (0,) * 16
+
+
+def test_decide_keeps_no_lanes_after_it_returns():
+    # 2**18 letters: eighteen variable masks of 32 KiB each, 576 KiB in all
+    q = query([_wide_refutation(18)])
+    assert q.transducer.state_width == 1  # compiled, and held by q, before the baseline
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not decide(q).valid
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 def test_check_over_the_letter_budget_is_a_usage_error(step_calls, capsys):

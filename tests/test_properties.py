@@ -47,7 +47,7 @@ from magari import (
 from magari.cli import main
 from magari.decide import _delta_scan
 
-from helpers import random_formula, reference_decide
+from helpers import random_formula, reference_compose_key, reference_decide
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -219,6 +219,23 @@ def test_composed_keys_equal_keys_of_the_substituted_formula(rng, nvars):
     operands = {x: random_formula(rng, list(variables), rng.randint(1, 5)) for x in params}
     composed = compose_key(compile_roots([s], params), [machine_key(operands[x], variables) for x in params], nvars)
     assert composed == machine_key(substitute(s, operands), variables)
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_composed_keys_are_the_reference_keys_byte_for_byte(rng, nvars):
+    # Equal keys for equal formulas hold under any consistent renumbering of
+    # blocks; the reference pins the numbering too.
+    variables = ("p", "q", "r")[:nvars]
+    s = random_formula(rng, rng.choice([["a", "b"], ["a"], []]), rng.randint(1, 7))
+    if compile_roots([s]).state_width == 0:  # a signature formula with D
+        s = Delta(s)
+    params = free_vars(s)
+    gs = [random_formula(rng, list(variables), rng.randint(1, 5)) for _ in params]
+    keys = [reference_compose_key(compile_roots([g], variables), variable_keys(nvars), nvars) for g in gs]
+    assert [machine_key(g, variables) for g in gs] == keys
+    t = compile_roots([s], params)
+    assert compose_key(t, keys, nvars) == reference_compose_key(t, keys, nvars)
 
 
 # Grammar tokens, Unicode aliases, '=', stray characters and element texts,
