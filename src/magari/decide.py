@@ -69,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, canonicalize, coordinate
+from .algebra import Element, canonicalize
 from .formulas import (
     And,
     Const,
@@ -82,7 +82,7 @@ from .formulas import (
     constant_fold,  # not called here; perfbench's tracer rebinds it by name
     desugar,
 )
-from .semantics import UnboundVariableError, holds_equation
+from .semantics import holds_equation
 
 Letter = tuple[int, ...]
 
@@ -209,19 +209,6 @@ class Transducer:
             else:
                 out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
         return tuple(out[r] for r in self.roots), keep
-
-    def run(self, assignment, n: int) -> list[tuple[int, ...]]:
-        """Root outputs for steps 1..n under the given element assignment."""
-        rows = []
-        memory = [1] * self.state_width
-        for k in range(1, n + 1):
-            try:
-                letter = tuple(coordinate(assignment[v], k) for v in self.variables)
-            except KeyError as e:
-                raise UnboundVariableError(e.args[0]) from None
-            outs, memory = self.step(memory, 1, letter)
-            rows.append(outs)
-        return rows
 
 
 def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = None) -> Transducer:

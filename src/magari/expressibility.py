@@ -206,9 +206,7 @@ class PrecompletenessReport:
     ``passed`` means: the formula is outside the class (its displaced
     constant differs from the class constant), both wrapper formulas are in
     the class, and all four entailments are valid.  Counterexample lassos,
-    if any, replay successfully before being reported.  ``oracle_agreed`` is
-    True when an oracle bound was given, since a disagreement raises, and
-    None otherwise.
+    if any, replay successfully before being reported.
     """
 
     class_index: int
@@ -221,7 +219,6 @@ class PrecompletenessReport:
     negation_backward: Verdict | None = None
     delta_forward: Verdict | None = None
     delta_backward: Verdict | None = None
-    oracle_agreed: bool | None = None
     counterexamples: tuple[Lasso, ...] = ()
     passed: bool = False
 
@@ -262,7 +259,6 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
         negation_wrapper_in_class=in_n,
         delta_wrapper_in_class=in_d,
         **verdicts,
-        oracle_agreed=None if oracle_bound is None else True,
         counterexamples=tuple(v.lasso for v in verdicts.values() if v.lasso is not None),
         passed=passed,
     )

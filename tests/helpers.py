@@ -1,5 +1,6 @@
 """Shared test utilities: seeded generators, componentwise reference ops, an
-exact reference decider and a reference for closure keys."""
+exact reference decider, a reference for closure keys and query texts at the
+decider's budgets."""
 
 from __future__ import annotations
 
@@ -253,3 +254,19 @@ def reference_compose_key(t: Transducer, operands, n_vars: int) -> tuple:
         if refined == block:
             return tuple(ids)
         block = refined
+
+
+# === Query texts at the decider's budgets ===
+
+
+def wide_refutation(n: int) -> tuple[str, str]:
+    """x0 & ... & x{n-1} against the same & Dx0: refuted at step 2, over 2**n letters."""
+    conj = " & ".join(f"x{i}" for i in range(n))
+    return conj, f"{conj} & Dx0"
+
+
+def delta_cycle(n: int) -> str:
+    """D(x0 | x1) & ... & D(x{n-1} | x0) = the same terms reversed & 1; at
+    n = 26 it compiles to 105 nodes over 2**26 letters."""
+    terms = [f"D(x{i} | x{(i + 1) % n})" for i in range(n)]
+    return " & ".join(terms) + " = " + " & ".join(reversed(terms)) + " & 1"

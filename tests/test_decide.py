@@ -41,7 +41,7 @@ from magari import (
     verify_precompleteness,
     witness_queries,
 )
-from helpers import random_element, random_formula, random_query
+from helpers import delta_cycle, random_element, random_formula, random_query, wide_refutation
 
 decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
 formulas_module = importlib.import_module("magari.formulas")
@@ -138,24 +138,21 @@ def test_compile_normalizes_in_linear_time(monkeypatch):
     assert time.perf_counter() - started < 10  # well under 1 s; a tree walk takes minutes
 
 
-def test_transducer_streams_delta():
-    t = compile_roots([parse("Dp")])
-    rows = t.run({"p": parse_element("110(0)")}, 6)
-    assert [r[0] for r in rows] == [1, 1, 1, 0, 0, 0]
-    rows = t.run({"p": ONE}, 4)
-    assert [r[0] for r in rows] == [1, 1, 1, 1]
-
-
 def test_transducer_agrees_with_evaluation():
+    # Transducer.step with top = 1 streams one letter per coordinate: memory
+    # starts all ones, and each step's keep bits are the next step's memory.
     rng = random.Random(307)
+    cases = [([parse("Dp")], {"p": parse_element("110(0)")}), ([parse("Dp")], {"p": ONE})]
     for _ in range(150):
         fs = [random_formula(rng, ["p", "q"], rng.randint(1, 9)) for _ in range(2)]
+        cases.append((fs, {"p": random_element(rng, 6), "q": random_element(rng, 6)}))
+    for fs, a in cases:
         t = compile_roots(fs)
-        a = {"p": random_element(rng, 6), "q": random_element(rng, 6)}
         vals = [evaluate(f, a) for f in fs]
-        rows = t.run(a, 32)
+        memory = [1] * t.state_width
         for k in range(1, 33):
-            assert rows[k - 1] == tuple(coordinate(v, k) for v in vals)
+            outs, memory = t.step(memory, 1, [coordinate(a[v], k) for v in t.variables])
+            assert outs == tuple(coordinate(v, k) for v in vals)
 
 
 def test_compile_takes_a_variable_order_covering_every_free_variable():
@@ -164,14 +161,6 @@ def test_compile_takes_a_variable_order_covering_every_free_variable():
     assert t.nodes[0] == (Var, 1)
     with pytest.raises(ValueError, match="misses q"):
         compile_roots([parse("p & q")], ("p",))
-
-
-def test_transducer_run_reports_unbound_variable():
-    from magari import UnboundVariableError
-
-    t = compile_roots([parse("p & q")])
-    with pytest.raises(UnboundVariableError):
-        t.run({"p": ONE}, 3)
 
 
 def test_loeb_identity_is_valid():
@@ -260,15 +249,10 @@ def test_alphabet_lanes_slice_letters_in_product_order():
         assert masks == tuple(sum(let[i] << l for l, let in enumerate(letters)) for i in range(n))
 
 
-def _wide_refutation(n: int) -> tuple[str, str]:
-    conj = " & ".join(f"x{i}" for i in range(n))
-    return conj, f"{conj} & Dx0"
-
-
 def test_wide_refutation_lasso():
     # 2^16 letters but few configurations: the lasso is found without
     # touching the letters one by one.
-    v = decide(query([_wide_refutation(16)]))
+    v = decide(query([wide_refutation(16)]))
     assert not v.valid
     assert v.lasso.violation_step == 2
     assert v.lasso.prefix == ((0,) * 16, (1,) * 16)
@@ -277,7 +261,7 @@ def test_wide_refutation_lasso():
 
 def test_decide_keeps_no_lanes_after_it_returns():
     # 2**18 letters: eighteen variable masks of 32 KiB each, 576 KiB in all
-    q = query([_wide_refutation(18)])
+    q = query([wide_refutation(18)])
     assert q.transducer.state_width == 1  # compiled, and held by q, before the baseline
     tracemalloc.start()
     try:
@@ -290,7 +274,7 @@ def test_decide_keeps_no_lanes_after_it_returns():
 
 
 def test_check_over_the_letter_budget_is_a_usage_error(step_calls, capsys):
-    assert magari.cli.main(["check", "--concl", " = ".join(_wide_refutation(27))]) == 2
+    assert magari.cli.main(["check", "--concl", " = ".join(wide_refutation(27))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: 27 variables give 2**27 letters, over the budget of 2**26 letters"
@@ -300,9 +284,7 @@ def test_check_over_the_letter_budget_is_a_usage_error(step_calls, capsys):
 def test_check_over_the_step_budget_is_a_usage_error(step_calls, capsys):
     # 26 variables fit the letter budget, but over 100 nodes of 2**26-bit
     # lanes would hold several GB in one step
-    terms = [f"D(x{i} | x{(i + 1) % 26})" for i in range(26)]
-    concl = " & ".join(terms) + " = " + " & ".join(reversed(terms)) + " & 1"
-    assert magari.cli.main(["check", "--concl", concl]) == 2
+    assert magari.cli.main(["check", "--concl", delta_cycle(26)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: 105 nodes over 2**26 letters need 840 MiB of lanes a step, over the budget of 512 MiB"

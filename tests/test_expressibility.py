@@ -178,13 +178,20 @@ def test_verify_precompleteness_passes():
     assert r.outside_class
     assert r.negation_wrapper_in_class and r.delta_wrapper_in_class
     assert all(v.valid for v in (r.negation_forward, r.negation_backward, r.delta_forward, r.delta_backward))
-    assert r.oracle_agreed is None
     assert r.counterexamples == ()
 
 
-def test_verify_precompleteness_with_oracle():
+def test_verify_precompleteness_with_oracle(monkeypatch):
+    # Each entailment goes through check_verdict with the bound, which raises on a disagreement.
+    check_verdict, bounds = magari.expressibility.check_verdict, []
+
+    def recording(q, verdict, bound):
+        bounds.append(bound)
+        return check_verdict(q, verdict, bound)
+
+    monkeypatch.setattr(magari.expressibility, "check_verdict", recording)
     r = verify_precompleteness(3, parse("Dp"), oracle_bound=4)
-    assert r.passed and r.oracle_agreed is True
+    assert r.passed and bounds == [4] * 4
 
 
 def test_verify_precompleteness_requires_lasso_replay(monkeypatch):

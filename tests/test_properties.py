@@ -47,7 +47,7 @@ from magari import (
 from magari.cli import main
 from magari.decide import _delta_scan
 
-from helpers import random_formula, reference_compose_key, reference_decide
+from helpers import delta_cycle, random_formula, reference_compose_key, reference_decide, wide_refutation
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -250,6 +250,8 @@ _FORMULA = st.one_of(formulas(st.sampled_from(("p", "q")), 4).map(format_formula
 _EQUATION = st.one_of(st.tuples(_FORMULA, _FORMULA).map(" = ".join), _TEXT)
 _ELEMENT = st.one_of(st.sampled_from(("(1)", "0(1)", "010(1)", "0110(0)")), _TEXT)
 _SMALL = st.integers(-2, 4).map(str)
+_TINY = st.integers(-1, 2).map(str)
+_SIGNATURE = st.lists(st.one_of(_FORMULA.map("f := ".__add__), _TEXT), max_size=3).map("\n".join)
 _ARGV = st.one_of(
     st.tuples(st.just("eval"), _FORMULA, st.just("--assign"), _ELEMENT.map("p=".__add__)),
     st.tuples(st.just("check"), st.just("--hyp"), _EQUATION, st.just("--concl"), _EQUATION,
@@ -259,12 +261,25 @@ _ARGV = st.one_of(
     st.tuples(st.just("synthesize"), _ELEMENT),
     st.tuples(st.just("verify-paper"), st.just("--i-max"), st.just("1"), st.just("--witnesses"), _FORMULA,
               st.just("--oracle-bound"), _SMALL),
+    # the signature text stands where its file's path goes
+    st.tuples(st.just("closure"), st.just("--sigma"), _SIGNATURE, st.just("--vars"), _TINY,
+              st.just("--depth"), _TINY, st.just("--cap"), _SMALL),
 )
 
 
+@pytest.fixture(scope="module")
+def sigma_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("closure") / "sigma.txt"
+
+
 @PROPERTY
-@given(_ARGV)
-def test_cli_exit_codes_stay_in_contract(argv):
+@given(argv=_ARGV)
+@example(argv=("check", "--concl", " = ".join(wide_refutation(27))))  # over decide.ALPHABET_VARIABLES
+@example(argv=("check", "--concl", delta_cycle(26)))  # 105 nodes, over decide.STEP_BITS
+def test_cli_exit_codes_stay_in_contract(sigma_path, argv):
+    if argv[0] == "closure":
+        sigma_path.write_text(argv[2], encoding="utf-8")
+        argv = (*argv[:2], str(sigma_path), *argv[3:])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
