@@ -138,21 +138,35 @@ def test_compile_normalizes_in_linear_time(monkeypatch):
     assert time.perf_counter() - started < 10  # well under 1 s; a tree walk takes minutes
 
 
-def test_transducer_agrees_with_evaluation():
+def _stream(t, a, n):
     # Transducer.step with top = 1 streams one letter per coordinate: memory
     # starts all ones, and each step's keep bits are the next step's memory.
+    memory = [1] * t.state_width
+    rows = []
+    for k in range(1, n + 1):
+        outs, memory = t.step(memory, 1, [coordinate(a[v], k) for v in t.variables])
+        rows.append(outs)
+    return rows
+
+
+def test_transducer_streams_delta():
+    t = compile_roots([parse("Dp")])
+    rows = _stream(t, {"p": parse_element("110(0)")}, 6)
+    assert [r[0] for r in rows] == [1, 1, 1, 0, 0, 0]
+    rows = _stream(t, {"p": ONE}, 4)
+    assert [r[0] for r in rows] == [1, 1, 1, 1]
+
+
+def test_transducer_agrees_with_evaluation():
     rng = random.Random(307)
-    cases = [([parse("Dp")], {"p": parse_element("110(0)")}), ([parse("Dp")], {"p": ONE})]
     for _ in range(150):
         fs = [random_formula(rng, ["p", "q"], rng.randint(1, 9)) for _ in range(2)]
-        cases.append((fs, {"p": random_element(rng, 6), "q": random_element(rng, 6)}))
-    for fs, a in cases:
         t = compile_roots(fs)
+        a = {"p": random_element(rng, 6), "q": random_element(rng, 6)}
         vals = [evaluate(f, a) for f in fs]
-        memory = [1] * t.state_width
+        rows = _stream(t, a, 32)
         for k in range(1, 33):
-            outs, memory = t.step(memory, 1, [coordinate(a[v], k) for v in t.variables])
-            assert outs == tuple(coordinate(v, k) for v in vals)
+            assert rows[k - 1] == tuple(coordinate(v, k) for v in vals)
 
 
 def test_compile_takes_a_variable_order_covering_every_free_variable():
