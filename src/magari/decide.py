@@ -72,14 +72,17 @@ import numpy as np
 from .algebra import Element, canonicalize
 from .formulas import (
     And,
+    Box,
     Const,
     Delta,
     Formula,
+    Iff,
     Implies,
+    Nabla,
     Not,
     Or,
     Var,
-    constant_fold,  # not called here; perfbench's tracer rebinds it by name
+    constant_fold,  # neither is called here; perfbench's tracer rebinds both by name
     desugar,
 )
 from .semantics import holds_equation
@@ -211,22 +214,26 @@ class Transducer:
         return tuple(out[r] for r in self.roots), keep
 
 
+_CHAIN = {And: And, Box: And, Nabla: And, Iff: And, Or: Or}  # the chain each class compiles into
+
+
 def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = None) -> Transducer:
-    """Compile formulas jointly: desugared, subterms shared, closed ones too,
+    """Compile parsed formulas jointly: subterms shared, closed ones too,
     distinct up to AC and idempotence of & and |.
 
     Every node is interned by its key (class and child positions) in one
-    table, and a new Delta node takes the next memory bit.  Each maximal &
-    chain and each maximal | chain becomes the left-leaning chain of its
-    distinct operand nodes in node order, so chains with the same operand set
-    are one node; & and | chains never merge, and -> and ! are kept as parsed.
-    Letters read variables in the given order, which must cover every free
-    variable (ValueError otherwise), or by default the free variables in name
-    order."""
+    table, and a new Delta node takes the next memory bit.  #f, @f and f <-> g
+    expand where met into the & chains f & Df, #!#!#f and (f -> g) & (g -> f),
+    node for node as in formulas.desugar's tree.  Each maximal & chain and each
+    maximal | chain becomes the left-leaning chain of its distinct operand nodes
+    in node order, so chains with the same operand set are one node; & and |
+    chains never merge, and -> and ! are kept as parsed.  Letters read variables
+    in the given order, which must cover every free variable (ValueError
+    otherwise), or by default the free variables in name order."""
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     state = 0
-    built: dict[int, int] = {}  # by id: desugar shares sub-objects, so a tree walk is exponential
+    built: dict[int, int] = {}  # by id: expansions and substitute reuse objects, so a tree walk is exponential
     var_nodes: dict[str, int] = {}  # name -> node position
     gathered: dict[int, set[int]] = {}  # by id, likewise: a chain object's operand nodes
 
@@ -241,12 +248,28 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
             nodes.append(key)
         return got
 
+    def chain(cls: type, ops: set[int]) -> int:
+        got, *rest = sorted(ops)
+        for b in rest:
+            got = node((cls, got, b))
+        return got
+
     def operands(f: Formula, cls: type) -> set[int]:
         got = gathered.get(id(f))
         if got is None:
-            got = set()
-            for g in (f.lhs, f.rhs):
-                got |= operands(g, cls) if type(g) is cls else {build(g)}
+            if type(f) is Iff:
+                a, b = build(f.lhs), build(f.rhs)
+                got = {node((Implies, a, b)), node((Implies, b, a))}
+            elif type(f) is cls:
+                got = set()
+                for g in (f.lhs, f.rhs):
+                    got |= operands(g, cls) if _CHAIN.get(type(g)) is cls else {build(g)}
+            else:  # Box or Nabla: the box of the argument, boxed twice more through ! for Nabla
+                a = build(f.arg)
+                got = (operands(f.arg, And) if _CHAIN.get(type(f.arg)) is And else {a}) | {node((Delta, a))}
+                for _ in range(2 if type(f) is Nabla else 0):
+                    a = node((Not, chain(And, got)))
+                    got = {a, node((Delta, a))}
             gathered[id(f)] = got
         return got
 
@@ -257,10 +280,8 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
         cls = type(f)
         if cls is And or cls is Or:
             lhs, rhs = f.lhs, f.rhs
-            if type(lhs) is cls or type(rhs) is cls:
-                got, *rest = sorted(operands(f, cls))
-                for b in rest:
-                    got = node((cls, got, b))
+            if _CHAIN.get(type(lhs)) is cls or _CHAIN.get(type(rhs)) is cls:
+                got = chain(cls, operands(f, cls))
             else:  # the common two-operand chain, without a set
                 a, b = build(lhs), build(rhs)
                 got = a if a == b else node((cls, a, b) if a < b else (cls, b, a))
@@ -272,13 +293,16 @@ def compile_roots(roots: Sequence[Formula], variables: Sequence[str] | None = No
             got = node((cls, build(f.arg)))
         elif cls is Implies:
             got = node((cls, build(f.lhs), build(f.rhs)))
+        elif cls in _CHAIN:  # #, @ or <->: arguments first, so that the expansion recurses no deeper
+            for g in (f.lhs, f.rhs) if cls is Iff else (f.arg,):
+                build(g)
+            got = chain(And, operands(f, And))
         else:
-            raise TypeError(f"unexpected node after desugar: {f!r}")
+            raise TypeError(f"cannot compile {f!r}: not a parsed formula")
         built[id(f)] = got
         return got
 
-    normalized = [desugar(r) for r in roots]  # alive until the end, so no id is reused
-    root_ids = tuple(build(f) for f in normalized)
+    root_ids = tuple(build(f) for f in roots)  # roots keep every object alive, so no id is reused
     free = sorted(var_nodes)
     var_index = {v: i for i, v in enumerate(free if variables is None else variables)}
     missing = [v for v in free if v not in var_index]

@@ -290,7 +290,8 @@ def desugar(f: Formula) -> Formula:
     """Expand Box, Nabla and Iff into the core connectives {0,1,!,&,|,->,D}.
 
     Box(f) becomes f & Df; Nabla(f) becomes the box-not-box-not-box chain;
-    Iff(f,g) becomes (f -> g) & (g -> f).  Idempotent on core formulas.
+    Iff(f,g) becomes (f -> g) & (g -> f).  Idempotent on core formulas.  The
+    reference that decide.compile_roots, expanding as it compiles, is held to.
     """
     if isinstance(f, (Var, Const, ElementLit)):
         return f

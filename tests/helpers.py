@@ -69,7 +69,8 @@ def random_element(rng: random.Random, max_prefix: int) -> Element:
     return canonicalize(bits, rng.randint(0, 1))
 
 
-def random_formula(rng: random.Random, variables, size: int, modal_budget: int = 4) -> Formula:
+def random_formula(rng: random.Random, variables, size: int, modal_budget: int = 4, sugar: int = 0) -> Formula:
+    """sugar > 0 draws #, @ and <-> that many times more often on top of the usual mix."""
     if size <= 1:
         if variables and rng.random() < 0.75:
             return Var(rng.choice(variables))
@@ -79,20 +80,21 @@ def random_formula(rng: random.Random, variables, size: int, modal_budget: int =
         pool += ["delta", "delta", "box"]
     if modal_budget >= 3:
         pool += ["nabla"]
+    pool += [k for k in ("iff", "box", "nabla") if k in pool] * sugar
     kind = rng.choice(pool)
     if kind == "not":
-        return Not(random_formula(rng, variables, size - 1, modal_budget))
+        return Not(random_formula(rng, variables, size - 1, modal_budget, sugar))
     if kind == "delta":
-        return Delta(random_formula(rng, variables, size - 1, modal_budget - 1))
+        return Delta(random_formula(rng, variables, size - 1, modal_budget - 1, sugar))
     if kind == "box":
-        return Box(random_formula(rng, variables, size - 1, modal_budget - 1))
+        return Box(random_formula(rng, variables, size - 1, modal_budget - 1, sugar))
     if kind == "nabla":
-        return Nabla(random_formula(rng, variables, size - 1, modal_budget - 3))
+        return Nabla(random_formula(rng, variables, size - 1, modal_budget - 3, sugar))
     cls = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[kind]
     left = rng.randint(1, size - 1)
     return cls(
-        random_formula(rng, variables, left, modal_budget),
-        random_formula(rng, variables, size - left, modal_budget),
+        random_formula(rng, variables, left, modal_budget, sugar),
+        random_formula(rng, variables, size - left, modal_budget, sugar),
     )
 
 

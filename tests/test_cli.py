@@ -364,6 +364,15 @@ def test_deep_nesting_is_a_usage_error(capsys, argv):
     assert err.strip() == "error: formula nested too deeply"
 
 
+@pytest.mark.parametrize("operators, n", [("#", 900), ("!#", 440), ("@", 150)], ids=["box", "not-box", "nabla"])
+def test_deeply_nested_sugar_compiles(capsys, operators, n):
+    # #, @ and <-> expand inside the compile in no more stack frames per
+    # nesting level than the parsed tree takes
+    x = operators * n + "p"
+    code, _, err = run(capsys, "check", "--concl", f"{x} = {x}")
+    assert (code, err) == (0, "")
+
+
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     # exit 1 means a counterexample, so running out of memory must not reach it
     def exhausted(query):

@@ -44,7 +44,6 @@ from magari import (
 from helpers import delta_cycle, random_element, random_formula, random_query, wide_refutation
 
 decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
-formulas_module = importlib.import_module("magari.formulas")
 
 
 def eq(l: str, r: str) -> Equation:
@@ -105,29 +104,10 @@ def test_every_compiled_node_is_reachable_from_a_root():
         assert seen == set(range(len(t.nodes)))
 
 
-def test_compile_normalizes_in_linear_time(monkeypatch):
-    # desugar shares sub-objects (@x boxes x three times over), so the compile
-    # desugars the parser's tree once and then builds each shared object once
-    calls = folds = 0
-    desugar = formulas_module.desugar
-    fold = formulas_module.constant_fold
-
-    def counting_desugar(f):
-        nonlocal calls
-        calls += 1
-        return desugar(f)
-
-    def counting_fold(f):
-        nonlocal folds
-        folds += 1
-        return fold(f)
-
-    for module in (formulas_module, decide_module):
-        monkeypatch.setattr(module, "desugar", counting_desugar)
-        monkeypatch.setattr(module, "constant_fold", counting_fold)
+def test_compile_normalizes_in_linear_time():
+    # #, @ and <-> expand where the compile meets them, from their arguments'
+    # nodes, so @x builds x once although its expansion boxes it three times over
     assert len(compile_roots([parse("@@@@p")]).nodes) == 1 + 4 * 8
-    assert calls == 5  # one per parse-tree node
-    assert folds == 0
 
     iff = "p"
     for _ in range(16):
@@ -579,26 +559,26 @@ def test_check_verdict_agreement():
 
 
 def test_a_checked_query_compiles_once(monkeypatch, capsys):
-    # decide and the oracle read one QuasiQuery.transducer, so each equation
-    # side is desugared once, not once for the decider and again for the oracle
+    # decide and the oracle read one QuasiQuery.transducer, so a query is
+    # compiled once, not once for the decider and again for the oracle
     calls = 0
-    desugar = decide_module.desugar
+    compile_roots = decide_module.compile_roots
 
-    def counting_desugar(f):
+    def counting_compile(roots, variables=None):
         nonlocal calls
         calls += 1
-        return desugar(f)
+        return compile_roots(roots, variables)
 
-    monkeypatch.setattr(decide_module, "desugar", counting_desugar)
+    monkeypatch.setattr(decide_module, "compile_roots", counting_compile)
     assert magari.cli.main(["check", "--hyp", "q = 1", "--concl", "Dp = p", "--oracle-bound", "2"]) == 1
     capsys.readouterr()
-    assert calls == 4
+    assert calls == 1
 
     calls = 0
     f = parse("!p")
     assert verify_precompleteness(1, f, oracle_bound=1).passed
     queries = [q for w in (negation_witness(1, f), delta_witness(1, f)) for q in witness_queries(w)]
-    assert calls == sum(2 * len(q.hypotheses + q.conclusions) for q in queries)
+    assert calls == len(queries) == 4
 
     # the cached compile is not a field: equality and hashing ignore it
     q = query([("Dp", "p")], hyps=[("q", "1")])

@@ -35,6 +35,7 @@ from magari import (
     coordinate,
     decide,
     delta_reference,
+    desugar,
     evaluate,
     format_formula,
     free_vars,
@@ -87,6 +88,23 @@ def test_transducer_lanes_match_evaluation(fs, k):
         outs, memory = t.step(memory, *lanes)
         for lane, values in zip(outs, exact):
             assert [lane >> l & 1 for l in range(8)] == [coordinate(e, j) for e in values]
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.booleans(),
+       st.one_of(st.none(), st.permutations(("p", "q", "r", "s"))))
+def test_compile_expands_sugar_as_desugar_does(rng, n_roots, share, variables):
+    # compile_roots expands #, @ and <-> where it meets them; the transducer is
+    # the very one that compiling formulas.desugar's tree gives.  Sharing one
+    # object under several variables is what enumerate_closure's substitute does.
+    def draw(size):
+        return random_formula(rng, ["p", "q", "r"], rng.randint(1, size), 8, sugar=3)
+
+    fs = [draw(24) for _ in range(n_roots)]
+    if share:
+        shared = draw(8)
+        fs = [substitute(f, {"p": shared, "q": shared}) for f in fs] + [shared]
+    assert compile_roots(fs, variables) == compile_roots([desugar(f) for f in fs], variables)
 
 
 _SIDES = formulas(st.sampled_from(("p", "q")), 5)
