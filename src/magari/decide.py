@@ -22,17 +22,18 @@ and whose successor reaches a SAFE configuration along hypothesis-true
 transitions.
 
 decide returns Valid at once when each conclusion's two sides compiled to one
-node.  Otherwise it finds the first counterexample on the fly: a breadth-first
-search from the all-ones start along hypothesis-true transitions that looks for
-a path to SAFE from the successor of each violating transition as it meets it
-and stops at the first that has one.  A look tests SAFE where it expands a
-configuration; a failed one marks every configuration it visited as hopeless,
-so later looks skip them, none is tested twice and the whole search stays
-linear in the transitions.  Letters are bit-sliced ints: letter l is bit l of
-a lane, its binary digits the variables' bits, the first variable highest.  So
-one transducer step covers every letter of one configuration, and the letters
-sharing a successor and a violation form one transition, named by the lowest
-of them; only a Lasso holds a letter as a tuple of bits.
+node.  Otherwise one breadth-first search along hypothesis-true transitions
+finds the first counterexample on the fly: run from the all-ones start, it runs
+again from the successor of each violating transition it meets, looking for a
+path to SAFE, and stops at the first that has one.  A look tests SAFE where a
+transition discovers a configuration; a failed one marks every configuration
+it visited as hopeless, and both searches skip those, so none is tested twice
+and the whole search stays linear in the transitions.  Letters are bit-sliced
+ints: letter l is bit l of a lane, its binary digits the variables' bits, the
+first variable highest.  So one transducer step covers every letter of one
+configuration, and the letters sharing a successor and a violation form one
+transition, named by the lowest of them; only a Lasso holds a letter as a
+tuple of bits.
 
 Letters are explored lexicographically smallest first and configurations in
 discovery order, so the lasso depends only on the configurations words reach,
@@ -64,7 +65,7 @@ Transducer.step, and machine_key is such a composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -389,8 +390,6 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
             row.append(index[s])
         out_lane.append(out[t.roots[0]])
         succ.append(row)
-    if len(configs) == 1:
-        return ((out_lane[0], tuple(succ[0])),)
 
     # Moore refinement by (output lane, successor blocks).  Blocks are numbered
     # in order of first appearance, so equal partitions are equal lists.
@@ -434,28 +433,23 @@ def decide(query: QuasiQuery) -> Verdict:
             viol |= outs[j] ^ outs[j + 1]
         return hyp, viol & hyp
 
-    memo: dict[int, list[tuple[int, int, bool]]] = {}
-
+    @cache
     def edges(state: int) -> list[tuple[int, int, bool]]:
         """Hypothesis-true transitions out of a configuration in letter order, one
         (lowest letter, successor, violates) per group of letters sharing the last two."""
-        got = memo.get(state)
-        if got is not None:
-            return got
         outs, keep = t.step([top & -(state >> b & 1) for b in width], *lanes)
         hyp, viol = split(outs)
-        got = memo[state] = []
         if not hyp:
-            return got
+            return []
         kept = [k & hyp for k in keep]
         # (letters, successor) pairs, split by each partly kept memory bit and by viol
         groups = [(hyp, sum(1 << b for b in width if kept[b] == hyp))]
         for k, bit in [(kept[b], 1 << b) for b in width] + [(viol, 0)]:
             if k and k != hyp:
                 groups = [(q, s) for p, s in groups for q, s in ((p & k, s | bit), (p & ~k, s)) if q]
-        got += sorted(((p & -p).bit_length() - 1, s, (p & viol) != 0) for p, s in groups)
-        return got
+        return sorted(((p & -p).bit_length() - 1, s, (p & viol) != 0) for p, s in groups)
 
+    @cache
     def safe_letter(state: int) -> int | None:
         """Lowest letter that, repeated from a configuration, keeps the hypotheses
         until a fixpoint: the lowest of those whose hypotheses held at every pass,
@@ -471,56 +465,48 @@ def decide(query: QuasiQuery) -> Verdict:
             memory = keep
         raise AssertionError("no fixpoint within the monotone stabilization bound")
 
-    # Configurations known to reach no SAFE configuration; their successors
-    # can reach nothing they cannot, so a failed search marks all it visited.
+    # Configurations known to reach no SAFE one.  A failed path search visits
+    # all that its start reaches outside the set, so the set stays closed under
+    # reachability: skipping it changes neither answer nor discovery order.
     hopeless: set[int] = set()
+
+    def search(start: int, stop):
+        """Breadth-first over hypothesis-true transitions from start in letter
+        order: the letters to the first transition that stop(successor,
+        violates) answers, and that answer; else None, all it visited hopeless."""
+        words: dict[int, list[int]] = {start: []}
+        queue = [start]
+        for c in queue:
+            for letter, s, viol in edges(c):
+                got = stop(s, viol)
+                if got is not None:
+                    return words[c] + [letter], got
+                if s not in words and s not in hopeless:
+                    words[s] = words[c] + [letter]
+                    queue.append(s)
+        hopeless.update(words)  # moot for the outer search: its failure ends decide
+        return None
 
     def path_to_safe(c: int) -> tuple[list[int], int] | None:
         """Letters from c to the first SAFE configuration in discovery order, and
-        its loop letter; SAFE is tested where a configuration is expanded."""
+        its loop letter.  SAFE is tested where a transition discovers a
+        configuration, not where it is expanded: the first SAFE one and its path
+        are the same either way, and testing earlier never costs more passes."""
         if c in hopeless:
             return None
-        par: dict[int, tuple[int, int] | None] = {c: None}
-        queue = [c]
-        for cur in queue:
-            loop = safe_letter(cur)
-            if loop is not None:
-                return _walk_back(par, cur), loop
-            for let, s, _ in edges(cur):
-                if s not in par and s not in hopeless:
-                    par[s] = (cur, let)
-                    queue.append(s)
-        hopeless.update(par)
-        return None
+        loop = safe_letter(c)
+        if loop is not None:
+            return [], loop
+        return search(c, lambda s, _: safe_letter(s))
 
-    # Breadth-first over hypothesis-true transitions from the all-ones start;
-    # the first violating one whose successor reaches SAFE is the answer.
-    order = [t.initial_state]
-    parent: dict[int, tuple[int, int] | None] = {t.initial_state: None}
-    for cfg in order:
-        for letter, succ, viol in edges(cfg):
-            if succ not in parent:
-                parent[succ] = (cfg, letter)
-                order.append(succ)
-            if viol:
-                found = path_to_safe(succ)
-                if found is not None:
-                    pre = _walk_back(parent, cfg)
-                    tail_path, loop = found
-                    n = len(t.variables)  # decoded once, in product order: the first variable is the high bit
-                    word = [tuple(l >> (n - 1 - i) & 1 for i in range(n)) for l in [*pre, letter, *tail_path, loop]]
-                    return Verdict(False, Lasso(t.variables, tuple(word[:-1]), word[-1], len(pre) + 1))
-    return Verdict(True)
-
-
-def _walk_back(parent: dict, c: int) -> list[int]:
-    """Letters along the parent links from the search root to c."""
-    back: list[int] = []
-    while parent[c] is not None:
-        c, letter = parent[c]
-        back.append(letter)
-    back.reverse()
-    return back
+    # The first violating transition from the all-ones start whose successor reaches SAFE.
+    found = search(t.initial_state, lambda s, viol: path_to_safe(s) if viol else None)
+    if found is None:
+        return Verdict(True)
+    pre, (tail_path, loop) = found
+    n = len(t.variables)  # decoded once, in product order: the first variable is the high bit
+    word = [tuple(l >> (n - 1 - i) & 1 for i in range(n)) for l in [*pre, *tail_path, loop]]
+    return Verdict(False, Lasso(t.variables, tuple(word[:-1]), word[-1], len(pre)))
 
 
 # === Lasso replay ===

@@ -235,6 +235,15 @@ def test_narrow_alphabet_steps_once_per_configuration(step_calls):
     assert len(step_calls) == 148
 
 
+def test_path_search_tests_safe_where_a_transition_discovers_it(step_calls):
+    # The path to SAFE is two steps long.  Testing SAFE where a transition
+    # discovers a configuration finds the same lasso as testing it where the
+    # configuration is expanded, one Transducer.step sooner (12 that way).
+    q = query([("p -> q", "DD#(q & q)"), ("Dq", "q -> q")], hyps=[("DDD(p & q)", "p <-> #p")])
+    assert decide(q) == Verdict(False, Lasso(("p", "q"), ((1, 0), (0, 0), (0, 0)), (1, 0), 1))
+    assert len(step_calls) == 11
+
+
 def test_alphabet_lanes_slice_letters_in_product_order():
     for n in range(13):
         top, masks = decide_module._alphabet(n)

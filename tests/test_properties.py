@@ -205,6 +205,14 @@ _REFERENCE_QUERIES = st.builds(
 # p is forced to 111(0), so the only counterexample violates at step 4,
 # with a prefix past the oracle box of the property above
 @example(QuasiQuery((Equation(Var("p"), parse("DDD0")),), (Equation(Var("p"), Const(1)),)))
+# a lasso whose path to SAFE is three steps long
+@example(QuasiQuery(
+    (Equation(parse("DDDq"), parse("1 <-> #(q <-> Dp)")),),
+    (Equation(parse("#(q <-> !(p <-> q)) <-> (q <-> (r <-> p))"), parse("(D0 -> @r) & q")),
+     Equation(parse("p -> p"), parse("@(D0 & 1)"))),
+))
+# a refutation found after a path search from an earlier violation failed
+@example(QuasiQuery((Equation(parse("Dp"), parse("@q")),), (Equation(parse("#q"), parse("@0")),)))
 def test_decide_matches_the_reference_decider(q):
     assert decide(q) == reference_decide(q)
 
