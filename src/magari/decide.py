@@ -390,6 +390,8 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
             row.append(index[s])
         out_lane.append(out[t.roots[0]])
         succ.append(row)
+    if len(configs) == 1:  # its own key: refining it costs closure about 5%
+        return ((out_lane[0], tuple(succ[0])),)
 
     # Moore refinement by (output lane, successor blocks).  Blocks are numbered
     # in order of first appearance, so equal partitions are equal lists.
