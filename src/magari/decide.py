@@ -493,9 +493,9 @@ def decide(query: QuasiQuery) -> Verdict:
         """Letters from c to the first SAFE configuration in discovery order, and
         its loop letter.  SAFE is tested where a transition discovers a
         configuration, not where it is expanded: the first SAFE one and its path
-        are the same either way, and testing earlier never costs more passes."""
-        if c in hopeless:
-            return None
+        are the same either way, and testing earlier never costs more passes.
+        A hopeless c was SAFE-tested and expanded by the failed search that
+        marked it, so from the caches the search returns None with no pass."""
         loop = safe_letter(c)
         if loop is not None:
             return [], loop
@@ -602,9 +602,9 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
 
     The box is never built whole: variable i owns axis i of a k-dimensional
     grid, so each node's array broadcasts to the shape of the variables it
-    depends on.  Nodes free of the first variable are evaluated once, the
-    rest over slabs of the first axis, the first covering at least
-    _SLAB_LANES assignments and each later one twice the one before.  Slabs
+    depends on.  Every node is evaluated on each slab of the first axis, the
+    first covering at least _SLAB_LANES assignments and each later one twice
+    the one before, and a slab's arrays die before the next is built.  Slabs
     run in enumeration order and the first slab with a hit returns it.
     """
     if bound < 0:
@@ -613,18 +613,14 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     # The coordinate past which each node's value is constant on the box: a
     # variable's is bound, a constant's 0, and each Delta adds one.
     settle: list[int] = []
-    on_first: list[bool] = []  # whether each node depends on the first variable
     for op in dag.nodes:
         kind = op[0]
         if kind is Var or kind is Const:
             settle.append(bound if kind is Var else 0)
-            on_first.append(kind is Var and op[1] == 0)
         elif kind is Delta:
             settle.append(1 + settle[op[1]])
-            on_first.append(on_first[op[1]])
         else:
             settle.append(max(settle[j] for j in op[1:]))
-            on_first.append(any(on_first[j] for j in op[1:]))
     width = max(settle, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
@@ -641,24 +637,20 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     table = _lane_table(bound, width) if k else None
     var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
 
-    vals: list = [None] * len(dag.nodes)
-
-    def evaluate(ids: list[int]) -> None:
-        for i in ids:
-            op = dag.nodes[i]
-            kind = op[0]
-            if kind is Var:
-                vals[i] = var_vals[op[1]]
-            elif kind is Const:
-                vals[i] = top if op[1] else lane(0)
-            elif kind is Delta:
-                vals[i] = _delta_scan(vals[op[1]], width)
-            else:
-                vals[i] = _BOOL[kind](top, *(vals[j] for j in op[1:]))
-
     nh2 = 2 * len(query.hypotheses)
 
     def first_hit(shape: tuple[int, ...]) -> tuple[int, ...] | None:
+        vals: list = []  # local, so the slab's arrays die when it returns
+        for op in dag.nodes:
+            kind = op[0]
+            if kind is Var:
+                vals.append(var_vals[op[1]])
+            elif kind is Const:
+                vals.append(top if op[1] else lane(0))
+            elif kind is Delta:
+                vals.append(_delta_scan(vals[op[1]], width))
+            else:
+                vals.append(_BOOL[kind](top, *(vals[j] for j in op[1:])))
         sides = [vals[r] for r in dag.roots]
         hyp_all = np.bool_(True)
         for i in range(0, nh2, 2):
@@ -669,19 +661,14 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         hits = np.flatnonzero(np.broadcast_to(hyp_all & viol, shape))
         return np.unravel_index(int(hits[0]), shape) if hits.size else None
 
-    evaluate([i for i, dep in enumerate(on_first) if not dep])
     if k == 0:
         return {} if first_hit(()) is not None else None
-    moving = [i for i, dep in enumerate(on_first) if dep]
     first = var_vals[0]
     rows = -(-_SLAB_LANES // n ** (k - 1))
     start = 0
     while start < n:
         stop = min(n, start + rows)
         var_vals[0] = first[start:stop]
-        for i in moving:  # free the previous slab before building this one
-            vals[i] = None
-        evaluate(moving)
         coords = first_hit((stop - start,) + (n,) * (k - 1))
         if coords is not None:
             coords = (start + int(coords[0]),) + coords[1:]

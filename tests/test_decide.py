@@ -244,6 +244,15 @@ def test_path_search_tests_safe_where_a_transition_discovers_it(step_calls):
     assert len(step_calls) == 11
 
 
+def test_path_search_from_a_hopeless_configuration_makes_no_lane_pass(step_calls):
+    # A later violating transition leads back into a configuration that an
+    # earlier failed path search marked hopeless.  Its SAFE test and its
+    # transitions are cached, so the search from it costs no Transducer.step.
+    q = query([("DD(D0 -> D(p | p))", "#p")], hyps=[("Dp", "p -> @D0")])
+    assert decide(q).valid
+    assert len(step_calls) == 7
+
+
 def test_alphabet_lanes_slice_letters_in_product_order():
     for n in range(13):
         top, masks = decide_module._alphabet(n)
@@ -505,7 +514,8 @@ def test_brute_force_hit_only_in_last_first_axis_index(monkeypatch, slab_lanes):
 
 
 def test_brute_force_scans_every_delta_array(monkeypatch):
-    # D-nodes over p are scanned once per slab, the one over q once
+    # the whole DAG is evaluated on each slab, so every D-node is scanned once
+    # per slab: the two over p on the slab's rows, Dq on all n lanes each time
     monkeypatch.setattr(decide_module, "_SLAB_LANES", 1)
     scanned = []
     scan = decide_module._delta_scan
@@ -517,8 +527,8 @@ def test_brute_force_scans_every_delta_array(monkeypatch):
     monkeypatch.setattr(decide_module, "_delta_scan", spy)
     assert brute_force(query([("D(Dp -> p) & Dq", "Dp & Dq")]), 1) is None
     n = len(elements_up_to(1))  # slabs of 1, 2 and 1 first-axis indices
-    assert len(scanned) == 1 + 2 * 3
-    assert sum(scanned) == 3 * n
+    assert len(scanned) == 3 * 3
+    assert sum(scanned) == 2 * n + 3 * n
 
 
 @pytest.mark.parametrize("width, itemsize", [(6, 1), (7, 2), (14, 2), (15, 4), (30, 4), (31, 8), (62, 8)])

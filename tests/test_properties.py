@@ -213,6 +213,8 @@ _REFERENCE_QUERIES = st.builds(
 ))
 # a refutation found after a path search from an earlier violation failed
 @example(QuasiQuery((Equation(parse("Dp"), parse("@q")),), (Equation(parse("#q"), parse("@0")),)))
+# a path search from a configuration an earlier failed one marked hopeless
+@example(QuasiQuery((Equation(parse("Dp"), parse("p -> @D0")),), (Equation(parse("DD(D0 -> D(p | p))"), parse("#p")),)))
 def test_decide_matches_the_reference_decider(q):
     assert decide(q) == reference_decide(q)
 

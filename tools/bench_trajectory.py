@@ -3,12 +3,15 @@
     python3 tools/bench_trajectory.py --pr N
 
 For each workload in BENCHMARK.json, runs perfbench/run.py with seed 1 for
-the benchmark's run_seconds, once untraced (--trace 0, the end-to-end
+the benchmark's run_seconds, three times untraced (--trace 0, the end-to-end
 metrics) and once traced (--trace 1, the per-layer metrics), each in its own
-process.  Writes BENCH_<pr>.json at the root of the checkout with the commit,
-the host, and per workload the end-to-end metrics, the per-layer metrics, the
-digest and the failed op counts.  Exits 1, writing nothing, when a run exits
-non-zero, reports correct: false, or the two runs' digests differ.
+process.  A single untraced run on a noisy host can be far from the typical
+one, so each end-to-end metric is the median of the three.  Writes
+BENCH_<pr>.json at the root of the checkout with the commit, the host, and per
+workload the end-to-end medians, the per-layer metrics, the digest and the
+failed op counts (trace_0 summed over the untraced runs).  Exits 1, writing
+nothing, when a run exits non-zero, reports correct: false, or the runs'
+digests differ.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,7 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 1
+UNTRACED_RUNS = 3
 
 
 def run(workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -55,18 +60,22 @@ def main(argv=None) -> int:
     workloads = {}
     for w in SPEC["workloads"]:
         name = w["name"]
-        plain, plain_result = run(name, seconds, 0)
+        plain = [run(name, seconds, 0) for _ in range(UNTRACED_RUNS)]
         traced, traced_result = run(name, seconds, 1)
-        if plain["digest"] != traced["digest"]:
-            sys.exit(f"error: {name} digests differ: {plain['digest']} untraced, {traced['digest']} traced")
-        workloads[name] = {
-            "digest": plain["digest"],
-            "end_to_end": plain_result["metrics"],
-            "per_layer": traced_result["metrics"],
-            "failed": {"trace_0": plain_result["failed"], "trace_1": traced_result["failed"]},
+        digests = [report["digest"] for report, _ in plain] + [traced["digest"]]
+        if len(set(digests)) != 1:
+            sys.exit(f"error: {name} digests differ: {', '.join(digests[:-1])} untraced, {digests[-1]} traced")
+        end_to_end = {
+            metric: {"value": statistics.median(r["metrics"][metric]["value"] for _, r in plain), "unit": m["unit"]}
+            for metric, m in plain[0][1]["metrics"].items()
         }
-        print(f"{name}: digest {plain['digest']}, "
-              f"{plain_result['metrics']['ops_per_s']['value']:.1f} ops/s", flush=True)
+        workloads[name] = {
+            "digest": digests[0],
+            "end_to_end": end_to_end,
+            "per_layer": traced_result["metrics"],
+            "failed": {"trace_0": sum(r["failed"] for _, r in plain), "trace_1": traced_result["failed"]},
+        }
+        print(f"{name}: digest {digests[0]}, median {end_to_end['ops_per_s']['value']:.1f} ops/s", flush=True)
 
     out = {
         "pr": args.pr,
