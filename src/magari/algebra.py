@@ -16,7 +16,6 @@ Coordinates are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -99,24 +98,15 @@ def leq(a: Element, b: Element) -> bool:
     return all(x <= y for x, y in _zip_bits(a, b))
 
 
-def first_zero(a: Element) -> int | None:
-    """Position of the first 0 coordinate, or None when a is all ones."""
-    for i, b in enumerate(a.prefix):
-        if b == 0:
-            return i + 1
-    return None if a.tail == 1 else len(a.prefix) + 1
-
-
 def delta(a: Element) -> Element:
     """Running strict-predecessor conjunction of a.
 
     Closed form: all ones when a has no zero coordinate; otherwise k ones
     followed by zeros, where k is the position of the first zero of a.
     """
-    k = first_zero(a)
-    if k is None:
-        return ONE
-    return Element((1,) * k, 0)
+    if 0 in a.prefix:
+        return Element((1,) * (a.prefix.index(0) + 1), 0)
+    return ONE if a.tail else Element((1,) * (len(a.prefix) + 1), 0)
 
 
 def delta_reference(bits: Sequence[int]) -> tuple[int, ...]:
@@ -143,20 +133,21 @@ def nabla(a: Element) -> Element:
     return box(negate(box(negate(box(a)))))
 
 
-def elements_up_to(max_prefix: int) -> list[Element]:
-    """All canonical Elements with prefix length <= max_prefix, in a fixed order.
+def element_at(c: int) -> Element:
+    """Entry c of elements_up_to's order: (0) and (1), then for c >= 2 the bits
+    of c after its leading 1 as the prefix, with the other tail."""
+    if c < 2:
+        return Element((), c)
+    bits = tuple(int(b) for b in bin(c)[3:])
+    return Element(bits, 1 - bits[-1])
 
-    There are 2**(max_prefix+1) of them.
-    """
+
+def elements_up_to(max_prefix: int) -> list[Element]:
+    """All 2**(max_prefix+1) canonical Elements with prefix length <= max_prefix,
+    shorter prefixes first, each length in product order."""
     if max_prefix < 0:
         raise ValueError(f"max_prefix must be >= 0, got {max_prefix}")
-    out = []
-    for n in range(max_prefix + 1):
-        for bits in product((0, 1), repeat=n):
-            for tail in (0, 1):
-                if not bits or bits[-1] != tail:
-                    out.append(Element(bits, tail))
-    return out
+    return [element_at(c) for c in range(2 << max_prefix)]
 
 
 def format_element(a: Element) -> str:

@@ -70,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, canonicalize
+from .algebra import Element, canonicalize, element_at
 from .formulas import (
     And,
     Box,
@@ -506,8 +506,8 @@ def decide(query: QuasiQuery) -> Verdict:
     if found is None:
         return Verdict(True)
     pre, (tail_path, loop) = found
-    n = len(t.variables)  # decoded once, in product order: the first variable is the high bit
-    word = [tuple(l >> (n - 1 - i) & 1 for i in range(n)) for l in [*pre, *tail_path, loop]]
+    # decoded once, in product order: the first variable is the high bit
+    word = [tuple(l >> (n_vars - 1 - i) & 1 for i in range(n_vars)) for l in [*pre, *tail_path, loop]]
     return Verdict(False, Lasso(t.variables, tuple(word[:-1]), word[-1], len(pre)))
 
 
@@ -570,14 +570,6 @@ def _lane_table(bound: int, width: int):
         level[:, 0] = prefixes | ((2 << width) - (1 << m))
         level[:, 1] = prefixes | (1 << (m - 1))
     return table
-
-
-def _element_at(c: int) -> Element:
-    """Entry c of elements_up_to's order: the bits of c after its leading 1, then the other tail."""
-    if c < 2:
-        return Element((), c)
-    bits = tuple(int(b) for b in bin(c)[3:])
-    return Element(bits, 1 - bits[-1])
 
 
 def _delta_scan(v, width: int):
@@ -672,7 +664,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         coords = first_hit((stop - start,) + (n,) * (k - 1))
         if coords is not None:
             coords = (start + int(coords[0]),) + coords[1:]
-            return {v: _element_at(int(c)) for v, c in zip(dag.variables, coords)}
+            return {v: element_at(int(c)) for v, c in zip(dag.variables, coords)}
         start = stop
         rows *= 2
     return None

@@ -180,48 +180,46 @@ def _tokenize(text: str) -> list[tuple[str | None, int]]:
 
 
 def parse(text: str) -> Formula:
+    """The formula that text spells under the grammar above; ParseError, with
+    the position of the offending token, when it spells none."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def infix(level: int) -> Formula:
-        """A formula whose infix operators all bind at least as tightly as level."""
-        nonlocal pos
-        f = unary()
-        while (op := tokens[pos][0]) in _INFIX and _INFIX[op][1] >= level:
-            pos += 1
-            cls, _, rhs_level = _INFIX[op]
-            f = cls(f, infix(rhs_level))
-        return f
-
-    def unary() -> Formula:
-        nonlocal pos
-        tok, at = tokens[pos]
-        if tok is None:
-            raise ParseError("unexpected end of input", at)
-        pos += 1
-        if tok in _PREFIX:
-            return _PREFIX[tok](unary())
-        if tok.islower():
-            return Var(tok)
-        if tok == "(":
-            f = infix(_LEVEL_IFF)
-            tok, at = tokens[pos]
-            if tok != ")":
-                raise ParseError("expected ')'", at)
-            pos += 1
-            return f
-        if tok == "0" or tok == "1":
-            return Const(int(tok))
-        raise ParseError(f"expected a formula, got {tok!r}", at)
-
-    try:
-        f = infix(_LEVEL_IFF)
-    finally:
-        del infix, unary  # they hold each other through cells, a cycle only the collector would free
-    tok, at = tokens[pos]
+    tokens.reverse()  # the next token is tokens[-1]; the sentinel is never popped
+    f = _infix(tokens, _LEVEL_IFF)
+    tok, at = tokens[-1]
     if tok is not None:
         raise ParseError(f"unexpected trailing token {tok!r}", at)
     return f
+
+
+def _infix(tokens: list[tuple[str | None, int]], level: int) -> Formula:
+    """A formula whose infix operators all bind at least as tightly as level."""
+    f = _unary(tokens)
+    while (op := tokens[-1][0]) in _INFIX and _INFIX[op][1] >= level:
+        tokens.pop()
+        cls, _, rhs_level = _INFIX[op]
+        f = cls(f, _infix(tokens, rhs_level))
+    return f
+
+
+def _unary(tokens: list[tuple[str | None, int]]) -> Formula:
+    tok, at = tokens[-1]
+    if tok is None:
+        raise ParseError("unexpected end of input", at)
+    tokens.pop()
+    if tok in _PREFIX:
+        return _PREFIX[tok](_unary(tokens))
+    if tok.islower():
+        return Var(tok)
+    if tok == "(":
+        f = _infix(tokens, _LEVEL_IFF)
+        tok, at = tokens[-1]
+        if tok != ")":
+            raise ParseError("expected ')'", at)
+        tokens.pop()
+        return f
+    if tok == "0" or tok == "1":
+        return Const(int(tok))
+    raise ParseError(f"expected a formula, got {tok!r}", at)
 
 
 # === Printing ===

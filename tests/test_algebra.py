@@ -81,6 +81,17 @@ def test_elements_up_to_counts_and_canonical():
     assert small[0] == ZERO and small[1] == ONE
     assert len(elements_up_to(6)) == 128
     assert len(set(elements_up_to(6))) == 128
+    for m in range(7):  # the order as product loops: prefix length, then bits, then tail
+        expected = [
+            Element(bits, tail)
+            for n in range(m + 1)
+            for bits in itertools.product((0, 1), repeat=n)
+            for tail in (0, 1)
+            if not bits or bits[-1] != tail
+        ]
+        assert elements_up_to(m) == expected
+    with pytest.raises(ValueError):
+        elements_up_to(-1)
 
 
 def test_delta_example():

@@ -364,6 +364,13 @@ def test_deep_nesting_is_a_usage_error(capsys, argv):
     assert err.strip() == "error: formula nested too deeply"
 
 
+def test_bracket_nesting_within_the_stack_evaluates(capsys):
+    # a parser that spent more stack frames per bracket would refuse this
+    code, out, err = run(capsys, "eval", "(" * 400 + "p" + ")" * 400, "--assign", "p=(0)")
+    assert (code, err) == (0, "")
+    assert "value: (0)" in out.splitlines()
+
+
 @pytest.mark.parametrize("operators, n", [("#", 900), ("!#", 440), ("@", 150)], ids=["box", "not-box", "nabla"])
 def test_deeply_nested_sugar_compiles(capsys, operators, n):
     # #, @ and <-> expand inside the compile in no more stack frames per
