@@ -48,12 +48,12 @@ lane packs a value truncated to width coordinates into the narrowest unsigned
 word with a bit to spare above the tail: bit j is coordinate j+1 and bit width
 the tail, which a 1-tail fills down to the end of the prefix.  The oracle
 gives each variable its own axis of the assignment box, so a node's array
-spans only the variables it depends on; it walks the box in doubling slabs of
-the first variable's axis and stops at the first slab holding a hit.  It
-realizes delta by its own cumulative conjunction, the trailing ones of each
-lane found by one carry, not by transducer memory.  check_verdict holds a
-verdict's lasso against exact evaluation and, given a bound, the verdict
-against the oracle; every disagreement raises.
+spans only the variables it depends on.  It evaluates the nodes that equations
+with two distinct sides reach, those off the first variable's axis once and
+the rest on doubling slabs of it, up to the first slab holding a hit; delta is
+its own cumulative conjunction, each lane's trailing ones found by one carry.
+check_verdict holds a verdict's lasso against exact evaluation and, given a
+bound, the verdict against the oracle; every disagreement raises.
 
 machine_key names the minimal machine of one formula, so that equal formulas,
 and only they, get equal keys without a decide.  A key is itself that machine,
@@ -573,14 +573,14 @@ def _lane_table(bound: int, width: int):
 
 
 def _delta_scan(v, width: int):
-    """Delta on packed lanes of width coordinates and a tail bit, as the trailing
-    ones of each lane: bit j of v & ~(v + 1) is the conjunction of bits 0..j.
-    The lane's spare bit takes the carry out of an all-ones lane."""
+    """Delta on packed lanes of width coordinates and a tail bit: bit j of
+    s = v ^ (v + 1) is the conjunction of v's bits 0..j-1, so s holds delta's
+    coordinates in bits 0..width-1 and its tail in the spare bit, width+1."""
     full = (1 << width) - 1
     if (v == full).any():
         raise AssertionError("truncation width exceeded in oracle")
-    pa = v & ~(v + 1)
-    return ((pa << 1) | 1) & full | pa & (1 << width)
+    s = v ^ (v + 1)
+    return s & full | (s >> 1) & (1 << width)
 
 
 def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
@@ -594,25 +594,33 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
 
     The box is never built whole: variable i owns axis i of a k-dimensional
     grid, so each node's array broadcasts to the shape of the variables it
-    depends on.  Every node is evaluated on each slab of the first axis, the
-    first covering at least _SLAB_LANES assignments and each later one twice
-    the one before, and a slab's arrays die before the next is built.  Slabs
-    run in enumeration order and the first slab with a hit returns it.
+    depends on.  Equations whose sides compiled to one node are dropped, and
+    of the nodes the rest reach, those off the first axis are evaluated once
+    and those on it once per slab of that axis, the first covering at least
+    _SLAB_LANES assignments and each later one twice the one before; a slab's
+    arrays die before the next is built.  Slabs run in enumeration order and
+    the first slab with a hit returns it.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     dag = query.transducer
+    nodes = dag.nodes
     # The coordinate past which each node's value is constant on the box: a
-    # variable's is bound, a constant's 0, and each Delta adds one.
+    # variable's is bound, a constant's 0, and each Delta adds one.  And
+    # whether the node depends on the first variable, whose axis slabs cut.
     settle: list[int] = []
-    for op in dag.nodes:
+    on_axis: list[bool] = []
+    for op in nodes:
         kind = op[0]
         if kind is Var or kind is Const:
             settle.append(bound if kind is Var else 0)
+            on_axis.append(kind is Var and op[1] == 0)
         elif kind is Delta:
             settle.append(1 + settle[op[1]])
-        else:
-            settle.append(max(settle[j] for j in op[1:]))
+            on_axis.append(on_axis[op[1]])
+        else:  # op[-1] is op[1] for Not
+            settle.append(max(settle[op[1]], settle[op[-1]]))
+            on_axis.append(on_axis[op[1]] or on_axis[op[-1]])
     width = max(settle, default=0) + 2
     if width > 62:
         raise ValueError(f"oracle truncation width {width} exceeds 62 bits")
@@ -622,48 +630,60 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     n = 2 ** (bound + 1)  # len(elements_up_to(bound)), known before any is built
     k = len(dag.variables)
     total = n**k
-    if total * len(dag.nodes) > ORACLE_CELLS:
+    if total * len(nodes) > ORACLE_CELLS:
         raise ValueError(
-            f"oracle box of {total} assignments x {len(dag.nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
+            f"oracle box of {total} assignments x {len(nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
         )
+    nh2, roots = 2 * len(query.hypotheses), dag.roots
+    pairs = [(j < nh2, roots[j], roots[j + 1]) for j in range(0, len(roots), 2) if roots[j] != roots[j + 1]]
+    if all(hyp for hyp, _, _ in pairs):
+        return None  # no conclusion can be violated
+    needed = {side for _, a, b in pairs for side in (a, b)}  # then every node they reach
+    for i in reversed(range(len(nodes))):
+        if i in needed and nodes[i][0] not in (Var, Const):
+            needed.update(nodes[i][1:2 if nodes[i][0] is Delta else 3])
     table = _lane_table(bound, width) if k else None
     var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
+    on = [i for i in sorted(needed) if on_axis[i]]
 
-    nh2 = 2 * len(query.hypotheses)
-
-    def first_hit(shape: tuple[int, ...]) -> tuple[int, ...] | None:
-        vals: list = []  # local, so the slab's arrays die when it returns
-        for op in dag.nodes:
+    def evaluate(vals: list, ids: list[int]) -> list:
+        for i in ids:
+            op = nodes[i]
             kind = op[0]
             if kind is Var:
-                vals.append(var_vals[op[1]])
+                vals[i] = var_vals[op[1]]
             elif kind is Const:
-                vals.append(top if op[1] else lane(0))
+                vals[i] = top if op[1] else lane(0)
             elif kind is Delta:
-                vals.append(_delta_scan(vals[op[1]], width))
+                vals[i] = _delta_scan(vals[op[1]], width)
             else:
-                vals.append(_BOOL[kind](top, *(vals[j] for j in op[1:])))
-        sides = [vals[r] for r in dag.roots]
-        hyp_all = np.bool_(True)
-        for i in range(0, nh2, 2):
-            hyp_all = hyp_all & (sides[i] == sides[i + 1])
-        viol = np.bool_(False)
-        for j in range(nh2, len(sides), 2):
-            viol = viol | (sides[j] != sides[j + 1])
-        hits = np.flatnonzero(np.broadcast_to(hyp_all & viol, shape))
-        return np.unravel_index(int(hits[0]), shape) if hits.size else None
+                vals[i] = _BOOL[kind](top, *(vals[j] for j in op[1:]))
+        return vals
 
-    if k == 0:
-        return {} if first_hit(()) is not None else None
-    first = var_vals[0]
-    rows = -(-_SLAB_LANES // n ** (k - 1))
+    once = evaluate([None] * len(nodes), [i for i in sorted(needed) if not on_axis[i]])
+
+    def first_hit() -> tuple[int, ...] | None:
+        vals = evaluate(once.copy(), on)  # local, so the slab's arrays die when it returns
+        hyp_all, viol = np.ones((1,) * k, dtype=bool), np.bool_(False)
+        for hyp, a, b in pairs:
+            if hyp:
+                hyp_all = hyp_all & (vals[a] == vals[b])
+            else:
+                viol = viol | (vals[a] != vals[b])
+        hit = hyp_all & viol
+        return np.unravel_index(int(hit.argmax()), hit.shape) if hit.any() else None
+
+    # one slab settles the box when no needed node reads the first axis
+    first = var_vals[0] if on else None
+    rows = -(-_SLAB_LANES // n ** (k - 1)) if on else n
     start = 0
     while start < n:
         stop = min(n, start + rows)
-        var_vals[0] = first[start:stop]
-        coords = first_hit((stop - start,) + (n,) * (k - 1))
+        if on:
+            var_vals[0] = first[start:stop]
+        coords = first_hit()
         if coords is not None:
-            coords = (start + int(coords[0]),) + coords[1:]
+            coords = (start + int(coords[0]), *coords[1:]) if start else coords
             return {v: element_at(int(c)) for v, c in zip(dag.variables, coords)}
         start = stop
         rows *= 2

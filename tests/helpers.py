@@ -1,6 +1,6 @@
 """Shared test utilities: seeded generators, componentwise reference ops, an
-exact reference decider, a reference for closure keys and query texts at the
-decider's budgets."""
+exact reference decider and oracle, a reference for closure keys and query
+texts at the decider's budgets."""
 
 from __future__ import annotations
 
@@ -28,7 +28,9 @@ from magari import (
     canonicalize,
     delta_reference,
     desugar,
+    elements_up_to,
     free_vars,
+    holds_equation,
 )
 from magari.decide import Transducer, _alphabet
 
@@ -216,6 +218,28 @@ def reference_decide(query: QuasiQuery) -> Verdict:
         return found and Verdict(False, Lasso(variables, word + found[0], found[1], len(word)))
 
     return bfs(frozenset(), refutes) or Verdict(True)
+
+
+# === Exact reference oracle ===
+
+
+def query_vars(query: QuasiQuery) -> list[str]:
+    return sorted({v for e in query.hypotheses + query.conclusions for s in (e.lhs, e.rhs) for v in free_vars(s)})
+
+
+def reference_first_hit(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
+    """brute_force's contract, one assignment at a time by exact evaluation: the
+    first in the box, elements_up_to(bound) per variable and earlier variables
+    (sorted by name) varying slowest, that keeps every hypothesis and violates
+    a conclusion."""
+    names = query_vars(query)
+    for values in product(elements_up_to(bound), repeat=len(names)):
+        a = dict(zip(names, values))
+        if all(holds_equation(e.lhs, e.rhs, a) for e in query.hypotheses) and any(
+            not holds_equation(e.lhs, e.rhs, a) for e in query.conclusions
+        ):
+            return a
+    return None
 
 
 # === Reference closure keys ===

@@ -31,8 +31,6 @@ from magari import (
     delta_witness,
     elements_up_to,
     evaluate,
-    free_vars,
-    holds_equation,
     lasso_assignment,
     neg_delta_power_term,
     negation_witness,
@@ -42,7 +40,15 @@ from magari import (
     verify_precompleteness,
     witness_queries,
 )
-from helpers import delta_cycle, random_element, random_formula, random_query, wide_refutation
+from helpers import (
+    delta_cycle,
+    query_vars,
+    random_element,
+    random_formula,
+    random_query,
+    reference_first_hit,
+    wide_refutation,
+)
 
 decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
 
@@ -422,7 +428,7 @@ def test_brute_force_at_the_widest_lane(bound):
     # width is 62 and each lane's tail rides in bit 62
     q = query([(f"D(p & {'D' * 59}0)", "Dp")])
     found = brute_force(q, bound)
-    assert found is not None and found == _reference_first_hit(q, bound)
+    assert found is not None and found == reference_first_hit(q, bound)
     with pytest.raises(ValueError, match="width 63 exceeds 62 bits"):
         brute_force(query([(f"D(p & {'D' * 60}0)", "Dp")]), bound)
 
@@ -431,7 +437,7 @@ def test_brute_force_width_follows_the_slowest_node():
     # D^60 0 settles at 60 and Dp at 2, so the width is 62: the longest
     # D chain and the longest closed prefix lie on different paths
     q = query([(f"p & {'D' * 60}0", "Dp")])
-    assert brute_force(q, 1) == {"p": ZERO} == _reference_first_hit(q, 1)
+    assert brute_force(q, 1) == {"p": ZERO} == reference_first_hit(q, 1)
 
 
 def test_decide_matches_brute_force_random():
@@ -480,22 +486,6 @@ def test_lane_table_and_hit_decoding_follow_elements_up_to(bound):
         assert table.tolist() == [_encode(e, width) for e in elements]
 
 
-def _query_vars(q: QuasiQuery) -> list[str]:
-    return sorted({v for e in q.hypotheses + q.conclusions for s in (e.lhs, e.rhs) for v in free_vars(s)})
-
-
-def _reference_first_hit(q: QuasiQuery, bound: int):
-    # the oracle's contract, one assignment at a time by exact evaluation
-    names = _query_vars(q)
-    for values in itertools.product(elements_up_to(bound), repeat=len(names)):
-        a = dict(zip(names, values))
-        if all(holds_equation(e.lhs, e.rhs, a) for e in q.hypotheses) and any(
-            not holds_equation(e.lhs, e.rhs, a) for e in q.conclusions
-        ):
-            return a
-    return None
-
-
 def _random_closed_query(rng: random.Random) -> QuasiQuery:
     def side():
         return random_formula(rng, [], rng.randint(1, 6))
@@ -513,9 +503,9 @@ def test_brute_force_first_hit_matches_exact_reference(monkeypatch, slab_lanes):
     used = set()
     for i in range(200):
         q = _random_closed_query(rng) if i % 10 == 0 else random_query(rng)
-        used.add(len(_query_vars(q)))
+        used.add(len(query_vars(q)))
         bound = 1 + i % 2
-        assert brute_force(q, bound) == _reference_first_hit(q, bound)
+        assert brute_force(q, bound) == reference_first_hit(q, bound)
     assert used == {0, 1, 2, 3}
 
 
@@ -525,12 +515,12 @@ def test_brute_force_hit_only_in_last_first_axis_index(monkeypatch, slab_lanes):
     q = query([("q & r", "1")], hyps=[("p", "D0")])
     last = elements_up_to(1)[-1]
     assert last == parse_element("1(0)")
-    assert brute_force(q, 1) == {"p": last, "q": ZERO, "r": ZERO} == _reference_first_hit(q, 1)
+    assert brute_force(q, 1) == {"p": last, "q": ZERO, "r": ZERO} == reference_first_hit(q, 1)
 
 
 def test_brute_force_scans_every_delta_array(monkeypatch):
-    # the whole DAG is evaluated on each slab, so every D-node is scanned once
-    # per slab: the two over p on the slab's rows, Dq on all n lanes each time
+    # Dq does not depend on p, the first variable, so it is scanned once on
+    # all n lanes; the two D-nodes over p are scanned once per slab, on its rows
     monkeypatch.setattr(decide_module, "_SLAB_LANES", 1)
     scanned = []
     scan = decide_module._delta_scan
@@ -542,8 +532,33 @@ def test_brute_force_scans_every_delta_array(monkeypatch):
     monkeypatch.setattr(decide_module, "_delta_scan", spy)
     assert brute_force(query([("D(Dp -> p) & Dq", "Dp & Dq")]), 1) is None
     n = len(elements_up_to(1))  # slabs of 1, 2 and 1 first-axis indices
-    assert len(scanned) == 3 * 3
-    assert sum(scanned) == 2 * n + 3 * n
+    assert scanned[0] == n and len(scanned) == 1 + 2 * 3
+    assert sum(scanned) == n + 2 * n
+
+
+def test_brute_force_skips_pairs_compiled_to_one_node(monkeypatch):
+    # every conclusion is AC-equal, so no assignment can violate one: None
+    # before any lane is built, whatever the hypothesis
+    def refuse(bound, width):
+        raise AssertionError(f"lane table for bound {bound} built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decide_module, "_lane_table", refuse)
+        q = query([("p & q & r", "r & (q & p)"), ("D(p | q)", "D(q | p | q)")], hyps=[("p", "Dq")])
+        assert len(q.transducer.variables) == 3 and brute_force(q, 5) is None
+    # a one-node hypothesis holds everywhere: it is dropped, and so is its D-node
+    scanned = []
+    scan = decide_module._delta_scan
+
+    def spy(v, width):
+        scanned.append(v.size)
+        return scan(v, width)
+
+    monkeypatch.setattr(decide_module, "_delta_scan", spy)
+    q = query([("p -> Dp", "1")], hyps=[("D(q & r)", "D(r & q & r)")])
+    found = brute_force(q, 1)
+    assert found == {"p": parse_element("0(1)"), "q": ZERO, "r": ZERO} == reference_first_hit(q, 1)
+    assert scanned == [len(elements_up_to(1))]  # Dp on p's axis, in one slab
 
 
 @pytest.mark.parametrize("width, itemsize", [(6, 1), (7, 2), (14, 2), (15, 4), (30, 4), (31, 8), (62, 8)])
@@ -560,7 +575,7 @@ def test_brute_force_at_lane_dtype_boundaries(monkeypatch, width, itemsize):
     monkeypatch.setattr(decide_module, "_lane_table", spy)
     for q in (query([(f"p & {'D' * (width - 2)}0", "Dp")]), query([(f"D(p & {'D' * (width - 3)}0)", "Dp")])):
         tables.clear()
-        assert brute_force(q, 1) == _reference_first_hit(q, 1)
+        assert brute_force(q, 1) == reference_first_hit(q, 1)
         [(w, table)] = tables
         assert w == width and table.dtype.itemsize == itemsize
 

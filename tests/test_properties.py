@@ -1,12 +1,14 @@
 """Property tests: parser round trip, transducer lanes against exact
 evaluation, decider, oracle and replay agreeing, the oracle's delta kernel
-against the reference delta, the decider against the reference decider, and
-the CLI's exit codes."""
+against the reference delta, the decider against the reference decider, the
+oracle against the reference oracle, and the CLI's exit codes."""
 
 import contextlib
 import dataclasses
+import importlib
 import io
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from magari import (
     Or,
     QuasiQuery,
     Var,
+    brute_force,
     check_verdict,
     compile_roots,
     compose_key,
@@ -48,7 +51,16 @@ from magari import (
 from magari.cli import main
 from magari.decide import _delta_scan
 
-from helpers import delta_cycle, random_formula, reference_compose_key, reference_decide, wide_refutation
+from helpers import (
+    delta_cycle,
+    random_formula,
+    reference_compose_key,
+    reference_decide,
+    reference_first_hit,
+    wide_refutation,
+)
+
+decide_module = importlib.import_module("magari.decide")  # magari.decide is the function
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -217,6 +229,18 @@ _REFERENCE_QUERIES = st.builds(
 @example(QuasiQuery((Equation(parse("Dp"), parse("p -> @D0")),), (Equation(parse("DD(D0 -> D(p | p))"), parse("#p")),)))
 def test_decide_matches_the_reference_decider(q):
     assert decide(q) == reference_decide(q)
+
+
+@PROPERTY
+@given(_REFERENCE_QUERIES)
+# hypothesis sides equal up to AC: one node, dropped; the hit lies in the second slab
+@example(QuasiQuery((Equation(parse("D(p & q)"), parse("D(q & (p & q))")),), (Equation(parse("p -> Dp"), Const(1)),)))
+# p only in a one-node hypothesis, so no node evaluated depends on the first axis
+@example(QuasiQuery((Equation(parse("p | q"), parse("q | p")),), (Equation(parse("q -> Dq"), Const(1)),)))
+def test_brute_force_is_the_reference_oracle_across_slabs(q):
+    # a first slab of one first-axis index puts slab boundaries inside every box
+    with mock.patch.object(decide_module, "_SLAB_LANES", 1):
+        assert brute_force(q, 1) == reference_first_hit(q, 1)
 
 
 @PROPERTY
