@@ -101,7 +101,7 @@ def _lasso_dict(lasso: Lasso) -> dict:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     elif report["command"] == "verify-paper":
         _print_summary(report)
     else:
@@ -117,10 +117,7 @@ def _print_fields(report: dict) -> None:
         elif isinstance(value, list):
             print(f"{key}:")
             for v in value:
-                if isinstance(v, dict):
-                    print("  - " + json.dumps(v))
-                else:
-                    print(f"  - {v}")
+                print(f"  - {v}")
         else:
             print(f"{key}: {value}")
 

@@ -48,10 +48,10 @@ lane packs a value truncated to width coordinates into the narrowest unsigned
 word with a bit to spare above the tail: bit j is coordinate j+1 and bit width
 the tail, which a 1-tail fills down to the end of the prefix.  The oracle
 gives each variable its own axis of the assignment box, so a node's array
-spans only the variables it depends on.  It evaluates the nodes that equations
-with two distinct sides reach, those off the first variable's axis once and
-the rest on doubling slabs of it, up to the first slab holding a hit; delta is
-its own cumulative conjunction, each lane's trailing ones found by one carry.
+spans only the variables it depends on.  It drops equations with one node on
+both sides and evaluates every node, those off the first variable's axis once
+and the rest on doubling slabs of it, up to the first slab holding a hit; delta
+is its own cumulative conjunction, each lane's trailing ones found by one carry.
 check_verdict holds a verdict's lasso against exact evaluation and, given a
 bound, the verdict against the oracle; every disagreement raises.
 
@@ -594,12 +594,12 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
 
     The box is never built whole: variable i owns axis i of a k-dimensional
     grid, so each node's array broadcasts to the shape of the variables it
-    depends on.  Equations whose sides compiled to one node are dropped, and
-    of the nodes the rest reach, those off the first axis are evaluated once
-    and those on it once per slab of that axis, the first covering at least
-    _SLAB_LANES assignments and each later one twice the one before; a slab's
-    arrays die before the next is built.  Slabs run in enumeration order and
-    the first slab with a hit returns it.
+    depends on.  Equations whose sides compiled to one node are dropped.
+    Nodes off the first axis are evaluated once and those on it once per slab
+    of that axis, the first covering at least _SLAB_LANES assignments and each
+    later one twice the one before; a slab's arrays die before the next is
+    built.  Slabs run in enumeration order and the first slab with a hit
+    returns it.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -638,13 +638,9 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     pairs = [(j < nh2, roots[j], roots[j + 1]) for j in range(0, len(roots), 2) if roots[j] != roots[j + 1]]
     if all(hyp for hyp, _, _ in pairs):
         return None  # no conclusion can be violated
-    needed = {side for _, a, b in pairs for side in (a, b)}  # then every node they reach
-    for i in reversed(range(len(nodes))):
-        if i in needed and nodes[i][0] not in (Var, Const):
-            needed.update(nodes[i][1:2 if nodes[i][0] is Delta else 3])
     table = _lane_table(bound, width) if k else None
     var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
-    on = [i for i in sorted(needed) if on_axis[i]]
+    on = [i for i in range(len(nodes)) if on_axis[i]]
 
     def evaluate(vals: list, ids: list[int]) -> list:
         for i in ids:
@@ -660,7 +656,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
                 vals[i] = _BOOL[kind](top, *(vals[j] for j in op[1:]))
         return vals
 
-    once = evaluate([None] * len(nodes), [i for i in sorted(needed) if not on_axis[i]])
+    once = evaluate([None] * len(nodes), [i for i in range(len(nodes)) if not on_axis[i]])
 
     def first_hit() -> tuple[int, ...] | None:
         vals = evaluate(once.copy(), on)  # local, so the slab's arrays die when it returns
@@ -673,13 +669,13 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         hit = hyp_all & viol
         return np.unravel_index(int(hit.argmax()), hit.shape) if hit.any() else None
 
-    # one slab settles the box when no needed node reads the first axis
-    first = var_vals[0] if on else None
-    rows = -(-_SLAB_LANES // n ** (k - 1)) if on else n
+    # a closed query's box is one assignment, settled in one slab
+    first = var_vals[0] if k else None
+    rows = -(-_SLAB_LANES // n ** (k - 1)) if k else n
     start = 0
     while start < n:
         stop = min(n, start + rows)
-        if on:
+        if k:
             var_vals[0] = first[start:stop]
         coords = first_hit()
         if coords is not None:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -284,7 +285,7 @@ def test_verify_paper_text_failure_reasons_omit_the_oracle(capsys):
     assert any(l.endswith(" FAIL") for l in out.splitlines())
 
 
-@pytest.mark.parametrize(
+EVERY_VERB = pytest.mark.parametrize(
     "argv",
     [
         ("eval", "Dp", "--assign", "p=0(1)"),
@@ -296,10 +297,17 @@ def test_verify_paper_text_failure_reasons_omit_the_oracle(capsys):
     ],
     ids=lambda argv: argv[0],
 )
-def test_every_verb_json_report_has_the_envelope(capsys, tmp_path, argv):
+
+
+def json_argv(tmp_path, argv):
     sigma = tmp_path / "sigma.txt"
     sigma.write_text("d := Dp\n")
-    code, out, _ = run(capsys, *(str(sigma) if a == "SIGMA" else a for a in argv), "--json")
+    return [str(sigma) if a == "SIGMA" else a for a in argv] + ["--json"]
+
+
+@EVERY_VERB
+def test_every_verb_json_report_has_the_envelope(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *json_argv(tmp_path, argv))
     assert code in (0, 1)
     data = json.loads(out)
     keys = list(data)
@@ -307,6 +315,23 @@ def test_every_verb_json_report_has_the_envelope(capsys, tmp_path, argv):
     assert keys[-2:] == ["duration_s", "version"]
     assert isinstance(data["duration_s"], float) and data["duration_s"] >= 0
     assert data["version"] == magari.__version__
+
+
+@EVERY_VERB
+def test_every_verb_json_report_is_one_line_and_leaves_no_cycle(capsys, tmp_path, argv):
+    argv = json_argv(tmp_path, argv)
+    main(argv)  # warm-up, so that caches filled on first use are not counted
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        cycles = gc.collect()
+    finally:
+        gc.enable()
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and json.loads(out)["command"] == argv[0]
+    assert cycles == 0
 
 
 def test_unknown_verb(capsys):

@@ -546,7 +546,8 @@ def test_brute_force_skips_pairs_compiled_to_one_node(monkeypatch):
         patch.setattr(decide_module, "_lane_table", refuse)
         q = query([("p & q & r", "r & (q & p)"), ("D(p | q)", "D(q | p | q)")], hyps=[("p", "Dq")])
         assert len(q.transducer.variables) == 3 and brute_force(q, 5) is None
-    # a one-node hypothesis holds everywhere: it is dropped, and so is its D-node
+    # a one-node hypothesis holds everywhere: it is dropped, though its D-node
+    # is still evaluated, once, off p's axis
     scanned = []
     scan = decide_module._delta_scan
 
@@ -558,7 +559,8 @@ def test_brute_force_skips_pairs_compiled_to_one_node(monkeypatch):
     q = query([("p -> Dp", "1")], hyps=[("D(q & r)", "D(r & q & r)")])
     found = brute_force(q, 1)
     assert found == {"p": parse_element("0(1)"), "q": ZERO, "r": ZERO} == reference_first_hit(q, 1)
-    assert scanned == [len(elements_up_to(1))]  # Dp on p's axis, in one slab
+    n = len(elements_up_to(1))
+    assert scanned == [n * n, n]  # D(q & r) over the q and r axes, then Dp in one slab
 
 
 @pytest.mark.parametrize("width, itemsize", [(6, 1), (7, 2), (14, 2), (15, 4), (30, 4), (31, 8), (62, 8)])
