@@ -347,7 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         envelope = {"duration_s": round(time.perf_counter() - started, 6), "version": __version__}
         _emit({"command": args.command} | fields | envelope, args.json)
         return code
-    except (ParseError, UnboundVariableError, ValueError, OSError) as e:
+    except (UnboundVariableError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

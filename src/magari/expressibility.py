@@ -23,6 +23,7 @@ minimal machines rather than decided equations, and synthesis of a closed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from .algebra import Element
@@ -98,60 +99,61 @@ def pairwise_distinct(i_max: int) -> dict[tuple[int, int], Formula]:
     """Separating formulas for every ordered pair of classes up to i_max.
 
     The entry at (i, j) is the j-th class constant's term, which belongs to
-    class j but not to class i.  Membership on both sides is verified.
+    class j but not to class i.  Membership on both sides is verified from
+    the term's value, evaluated once per class.
     """
     if i_max < 2:
         raise ValueError(f"need at least two classes, got i_max={i_max}")
+    terms = {j: neg_delta_power_term(j) for j in range(1, i_max + 1)}
+    values = {j: evaluate(t, {}) for j, t in terms.items()}
     out: dict[tuple[int, int], Formula] = {}
-    for i in range(1, i_max + 1):
-        for j in range(1, i_max + 1):
-            if i == j:
-                continue
-            t = neg_delta_power_term(j)
-            if not preserves(j, t) or preserves(i, t):
+    for i, j in product(terms, repeat=2):
+        if i != j:
+            if values[j] != class_constant(j) or values[j] == class_constant(i):
                 raise AssertionError(f"separation failed for classes ({i}, {j})")
-            out[(i, j)] = t
+            out[(i, j)] = terms[j]
     return out
 
 
 # === Wrapper formulas defining negation and delta inside a class ===
 
 
-def _closed_plug(i: int, f: Formula) -> Formula:
-    """f with every free variable replaced by the i-th class constant's term."""
-    a_term = neg_delta_power_term(i)
+def _closed_plug(a_term: Formula, f: Formula) -> Formula:
+    """f with every free variable replaced by the class constant's term a_term."""
     return substitute(f, {v: a_term for v in free_vars(f)})
 
 
-def negation_definer(i: int, f: Formula) -> Formula:
-    """Class-i formula w(p, q) with: w(p, q) = c exactly when q = not p.
+def _wrapper(target: type[Not] | type[Delta], a_term: Formula, c_term: Formula) -> Formula:
+    """Class formula w(p, q) with: w(p, q) = c exactly when q = target(p).
 
-    c is the displaced constant of f, so f must lie outside class i.  Shape:
-    the first-coordinate projection of p<->q switches between the branch
-    comparing (not p <-> q) against the plugged f and the branch pinning the
-    class constant.
+    a_term is the class constant's term and c_term the plugged outside
+    formula, whose value c is displaced from the class constant.  A
+    first-coordinate projection switches between the branch comparing
+    (target(p) <-> q) against c_term and the branch pinning the class
+    constant: Nabla of not (p <-> q) for negation, Nabla q for delta.
     """
-    off_class_constant(i, f)  # reject members early
-    c_term = _closed_plug(i, f)
-    a_term = neg_delta_power_term(i)
     p, q = Var("p"), Var("q")
     s = Iff(p, q)
-    return Or(
-        And(Nabla(Not(s)), Iff(Iff(Not(p), q), c_term)),
-        And(Nabla(s), a_term),
-    )
+    on, off = (Nabla(Not(s)), Nabla(s)) if target is Not else (Nabla(q), Not(Nabla(q)))
+    return Or(And(on, Iff(Iff(target(p), q), c_term)), And(off, a_term))
+
+
+def _cell_terms(i: int, f: Formula) -> tuple[Formula, Formula]:
+    """The i-th class constant's term and f plugged with it; ValueError for members."""
+    off_class_constant(i, f)
+    a_term = neg_delta_power_term(i)
+    return a_term, _closed_plug(a_term, f)
+
+
+def negation_definer(i: int, f: Formula) -> Formula:
+    """Class-i formula w(p, q) with: w(p, q) = c exactly when q = not p,
+    c being the displaced constant of f, so f must lie outside class i."""
+    return _wrapper(Not, *_cell_terms(i, f))
 
 
 def delta_definer(i: int, f: Formula) -> Formula:
     """Class-i formula w(p, q) with: w(p, q) = c exactly when q = delta p."""
-    off_class_constant(i, f)
-    c_term = _closed_plug(i, f)
-    a_term = neg_delta_power_term(i)
-    p, q = Var("p"), Var("q")
-    return Or(
-        And(Nabla(q), Iff(Iff(Delta(p), q), c_term)),
-        And(Not(Nabla(q)), a_term),
-    )
+    return _wrapper(Delta, *_cell_terms(i, f))
 
 
 # === Parametric expressibility witnesses ===
@@ -180,20 +182,16 @@ def witness_queries(w: ParametricWitness) -> tuple[QuasiQuery, QuasiQuery]:
     return QuasiQuery((defining,), w.pairs), QuasiQuery(w.pairs, (defining,))
 
 
+def _witness(target: type[Not] | type[Delta], a_term: Formula, c_term: Formula) -> ParametricWitness:
+    return ParametricWitness(target(Var("p")), "q", (Equation(_wrapper(target, a_term, c_term), c_term),))
+
+
 def negation_witness(i: int, f: Formula) -> ParametricWitness:
-    return ParametricWitness(
-        target=Not(Var("p")),
-        output_var="q",
-        pairs=(Equation(negation_definer(i, f), _closed_plug(i, f)),),
-    )
+    return _witness(Not, *_cell_terms(i, f))
 
 
 def delta_witness(i: int, f: Formula) -> ParametricWitness:
-    return ParametricWitness(
-        target=Delta(Var("p")),
-        output_var="q",
-        pairs=(Equation(delta_definer(i, f), _closed_plug(i, f)),),
-    )
+    return _witness(Delta, *_cell_terms(i, f))
 
 
 # === Precompleteness verification ===
@@ -237,8 +235,9 @@ def verify_precompleteness(i: int, f: Formula, oracle_bound: int | None = None) 
     if c == a:
         return PrecompletenessReport(class_index=i, formula=f, outside_class=False)
 
-    wn = negation_witness(i, f)
-    wd = delta_witness(i, f)
+    a_term = neg_delta_power_term(i)
+    c_term = _closed_plug(a_term, f)
+    wn, wd = _witness(Not, a_term, c_term), _witness(Delta, a_term, c_term)
     names = ("negation_forward", "negation_backward", "delta_forward", "delta_backward")
     queries = dict(zip(names, witness_queries(wn) + witness_queries(wd)))
     verdicts = {name: decide(q) for name, q in queries.items()}
@@ -344,15 +343,6 @@ def synthesize_term(e: Element) -> Formula:
     def indicator(k: int) -> Formula:
         return And(delta_power_term(k), Not(delta_power_term(k - 1)))
 
-    if e.tail == 0:
-        positions = [k for k, b in enumerate(e.prefix, start=1) if b == 1]
-        complement = False
-    else:
-        positions = [k for k, b in enumerate(e.prefix, start=1) if b == 0]
-        complement = True
-    term: Formula = Const(0)
-    if positions:
-        term = indicator(positions[0])
-        for k in positions[1:]:
-            term = Or(term, indicator(k))
-    return Not(term) if complement else term
+    positions = [k for k, b in enumerate(e.prefix, start=1) if b != e.tail]
+    term = reduce(Or, map(indicator, positions)) if positions else Const(0)
+    return Not(term) if e.tail else term

@@ -353,11 +353,11 @@ def test_eval_frozen_examples(capsys):
 
 
 def test_check_wrapper_equation_via_text_round_trip(capsys):
-    from magari import format_formula, evaluate_closed, format_element, parse
+    from magari import format_formula, evaluate_closed, format_element, neg_delta_power_term, parse
     from magari.expressibility import _closed_plug, delta_definer
 
     w = format_formula(delta_definer(1, parse("!p")))
-    c = format_formula(_closed_plug(1, parse("!p")))
+    c = format_formula(_closed_plug(neg_delta_power_term(1), parse("!p")))
     code, out, _ = run(capsys, "check", "--hyp", "Dp = q", "--concl", f"{w} = {c}")
     assert code == 0
     assert "verdict: Valid" in out

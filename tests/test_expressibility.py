@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -6,15 +7,10 @@ import pytest
 
 import magari.expressibility
 from magari import (
-    And,
     Delta,
     Equation,
-    Iff,
     Lasso,
-    Nabla,
     NamedFormula,
-    Not,
-    Or,
     ParametricWitness,
     QuasiQuery,
     Var,
@@ -28,6 +24,7 @@ from magari import (
     evaluate,
     evaluate_closed,
     format_element,
+    format_formula,
     free_vars,
     negate,
     negation_definer,
@@ -44,7 +41,7 @@ from magari import (
     verify_precompleteness,
     witness_queries,
 )
-from magari.expressibility import _closed_plug
+from magari.expressibility import _closed_plug, _wrapper
 from helpers import random_element
 
 
@@ -101,6 +98,18 @@ def test_pairwise_distinct_grid():
         assert not preserves(i, t)
 
 
+def test_pairwise_distinct_evaluates_each_separator_once(monkeypatch):
+    calls, evaluate_ = [], magari.expressibility.evaluate
+
+    def counting(f, env):
+        calls.append(f)
+        return evaluate_(f, env)
+
+    monkeypatch.setattr(magari.expressibility, "evaluate", counting)
+    pairwise_distinct(5)
+    assert len(calls) == 5
+
+
 def test_pairwise_distinct_rejects_single_class():
     with pytest.raises(ValueError):
         pairwise_distinct(1)
@@ -124,7 +133,7 @@ def test_definer_pins_value_exactly_on_graph():
     rng = random.Random(401)
     i, f = 2, parse("Dp")
     w = delta_definer(i, f)
-    c = evaluate_closed(_closed_plug(i, f))
+    c = evaluate_closed(_closed_plug(neg_delta_power_term(i), f))
     for _ in range(150):
         p = random_element(rng, 6)
         good = {"p": p, "q": evaluate(parse("Dp"), {"p": p})}
@@ -143,6 +152,20 @@ def test_witnesses_check_out():
             assert fwd.valid and bwd.valid
 
 
+def test_wrapper_builders_output_is_pinned():
+    # the texts of both witnesses and both definers over a small grid of cells
+    texts = []
+    for i in (1, 2, 3):
+        for f in map(parse, ("!p", "Dp", "p -> Dq", "!DDDD0")):
+            for w in (negation_witness(i, f), delta_witness(i, f)):
+                texts += [format_formula(w.target), w.output_var]
+                texts += [format_formula(s) for e in w.pairs for s in (e.lhs, e.rhs)]
+            texts += [format_formula(negation_definer(i, f)), format_formula(delta_definer(i, f))]
+    assert len(texts) == 120
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "34f1418b06fa567b4182037b2cf45b8a9158b4adf0afc611e90c741da0c52cdb"
+
+
 def test_witness_validation():
     w = ParametricWitness(
         target=parse("!p"),
@@ -156,14 +179,10 @@ def test_witness_validation():
 def test_corrupted_witness_is_caught():
     i, f = 1, parse("Dp")
     a_term = neg_delta_power_term(i)
-    c_term = _closed_plug(i, f)
-    p, q = Var("p"), Var("q")
+    c_term = _closed_plug(a_term, f)
     # wrong plug: compare the graph against the class constant instead of c
-    bad = Or(
-        And(Nabla(q), Iff(Iff(Delta(p), q), a_term)),
-        And(Not(Nabla(q)), a_term),
-    )
-    w = ParametricWitness(target=Delta(p), output_var="q", pairs=(Equation(bad, c_term),))
+    bad = _wrapper(Delta, a_term, a_term)
+    w = ParametricWitness(target=Delta(Var("p")), output_var="q", pairs=(Equation(bad, c_term),))
     fq, bq = witness_queries(w)
     fwd, bwd = decide(fq), decide(bq)
     assert not (fwd.valid and bwd.valid)
