@@ -84,10 +84,13 @@ def _load_signature(path: str) -> tuple[NamedFormula, ...]:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if ":=" not in stripped:
+            name, sep, body = stripped.partition(":=")
+            if not sep or not name.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'name := formula'")
-            name, _, body = stripped.partition(":=")
-            entries.append(NamedFormula(name.strip(), parse(body)))
+            try:
+                entries.append(NamedFormula(name.strip(), parse(body)))
+            except ParseError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return tuple(entries)
 
 
@@ -133,8 +136,8 @@ def _print_summary(report: dict) -> None:
                 print(f"  {key}: {cell[key]}")
             for lasso in cell["counterexamples"]:
                 print("  counterexample: " + json.dumps(lasso))
-    if report["separations"]:
-        print(f"pairwise separations: {len(report['separations'])} confirmed")
+    if n := len(report["separations"] or ()):
+        print(f"pairwise separations: {n * (n - 1)} confirmed")
     print(f"result: {report['result']}")
 
 
@@ -237,26 +240,19 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
     for n, w in enumerate(entries, 1):
         if not w.strip():
             raise ValueError(f"--witnesses entry {n} of {len(entries)} is empty in {args.witnesses!r}")
-    explicit = [parse(w) for w in entries] if args.witnesses is not None else None
+    explicit = [parse(w) for w in entries]
 
     cells = []
-    all_passed = True
     for i in range(1, args.i_max + 1):
-        witnesses = explicit if explicit is not None else [
-            parse("!p"),
-            parse("Dp"),
-            neg_delta_power_term(i + 1),
-        ]
-        for w in witnesses:
+        for w in explicit or [parse("!p"), parse("Dp"), neg_delta_power_term(i + 1)]:
             cell_started = time.perf_counter()
             rep = verify_precompleteness(i, w, oracle_bound=bound)
             cells.append(_report_dict(rep) | {"duration_s": round(time.perf_counter() - cell_started, 6)})
-            all_passed = all_passed and rep.passed
+    all_passed = all(cell["passed"] for cell in cells)
 
     separations = None
     if args.i_max >= 2:
-        matrix = pairwise_distinct(args.i_max)
-        separations = {f"{i},{j}": format_formula(t) for (i, j), t in sorted(matrix.items())}
+        separations = {str(j): format_formula(t) for j, t in pairwise_distinct(args.i_max).items()}
 
     return (0 if all_passed else 1), {
         "i_max": args.i_max,

@@ -95,24 +95,22 @@ def off_class_constant(i: int, f: Formula) -> Element:
     return c
 
 
-def pairwise_distinct(i_max: int) -> dict[tuple[int, int], Formula]:
-    """Separating formulas for every ordered pair of classes up to i_max.
+def pairwise_distinct(i_max: int) -> dict[int, Formula]:
+    """One separating term per class up to i_max: class j maps to !D^j 0.
 
-    The entry at (i, j) is the j-th class constant's term, which belongs to
-    class j but not to class i.  Membership on both sides is verified from
-    the term's value, evaluated once per class.
+    A closed term lies in class i exactly when its value is the i-th class
+    constant, and the class constants differ from one another.  So the term
+    whose value is the j-th constant belongs to class j and to no other
+    class: it separates j from every other class at once, and the pair
+    (i, j) reads table[j].  Each term is checked with one evaluation.
     """
     if i_max < 2:
         raise ValueError(f"need at least two classes, got i_max={i_max}")
-    terms = {j: neg_delta_power_term(j) for j in range(1, i_max + 1)}
-    values = {j: evaluate(t, {}) for j, t in terms.items()}
-    out: dict[tuple[int, int], Formula] = {}
-    for i, j in product(terms, repeat=2):
-        if i != j:
-            if values[j] != class_constant(j) or values[j] == class_constant(i):
-                raise AssertionError(f"separation failed for classes ({i}, {j})")
-            out[(i, j)] = terms[j]
-    return out
+    table = {j: neg_delta_power_term(j) for j in range(1, i_max + 1)}
+    for j, t in table.items():
+        if evaluate(t, {}) != class_constant(j):
+            raise AssertionError(f"separating term of class {j} misses its class constant")
+    return table
 
 
 # === Wrapper formulas defining negation and delta inside a class ===

@@ -115,9 +115,10 @@ def test_criterion_4_preserving_class_facts():
         ok = ok and not preserves(i, parse("Dp"))
         ok = ok and preserves(i, neg_delta_power_term(i))
     table = pairwise_distinct(5)
-    ok = ok and len(table) == 20
-    for (i, j), t in table.items():
-        ok = ok and preserves(j, t) and not preserves(i, t)
+    pairs = [(i, j) for i, j in itertools.product(table, repeat=2) if i != j]
+    ok = ok and len(table) == 5 and len(pairs) == 20
+    for i, j in pairs:
+        ok = ok and preserves(j, table[j]) and not preserves(i, table[j])
     _report(4, "class membership grid and 20 pairwise separations", ok, time.perf_counter() - started)
 
 

@@ -195,6 +195,23 @@ def test_closure_bad_sigma_line(capsys, tmp_path):
     assert "expected 'name := formula'" in err
 
 
+def test_closure_sigma_parse_error_names_file_and_line(capsys, tmp_path):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("d := Dp\nbad := p &\n")
+    code, _, err = run(capsys, "closure", "--sigma", str(sigma))
+    assert code == 2
+    assert f"error: {sigma}:2: unexpected end of input" in err
+
+
+def test_closure_sigma_empty_name_is_refused(capsys, tmp_path):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("# comment\n:= p\n")
+    code, out, err = run(capsys, "closure", "--sigma", str(sigma))
+    assert code == 2
+    assert out == ""
+    assert f"{sigma}:2: expected 'name := formula'" in err
+
+
 def test_synthesize(capsys):
     code, out, _ = run(capsys, "synthesize", "010(1)", "--json")
     assert code == 0
@@ -226,6 +243,17 @@ def test_verify_paper_small(capsys):
     assert lines[-1] == "result: PASS"
     assert sum(1 for l in lines if l.startswith("i=") and l.endswith(" PASS")) == 6
     assert any("pairwise separations: 2 confirmed" in l for l in lines)
+
+
+def test_verify_paper_json_maps_each_class_to_its_separating_term(capsys):
+    from magari import parse, preserves
+
+    code, out, _ = run(capsys, "verify-paper", "--i-max", "4", "--json")
+    assert code == 0
+    separations = json.loads(out)["separations"]
+    assert separations == {"1": "!D0", "2": "!DD0", "3": "!DDD0", "4": "!DDDD0"}
+    for j, text in separations.items():
+        assert [i for i in range(1, 5) if preserves(i, parse(text))] == [int(j)]
 
 
 def test_verify_paper_json_with_oracle(capsys):

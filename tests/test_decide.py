@@ -417,6 +417,11 @@ def test_brute_force_enumeration_order_is_stable():
     assert found == {"p": ZERO, "q": ONE}
 
 
+def test_brute_force_rejects_negative_bound():
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        brute_force(query([("p", "p")]), -1)
+
+
 def test_brute_force_width_guard():
     with pytest.raises(ValueError):
         brute_force(query([("Dp", "p")]), 80)

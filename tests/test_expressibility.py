@@ -59,6 +59,11 @@ def test_class_terms_evaluate_to_constants():
         assert evaluate_closed(delta_power_term(i)) == negate(class_constant(i))
 
 
+def test_delta_power_term_rejects_negative_power():
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        delta_power_term(-1)
+
+
 def test_membership_grid():
     for i in (1, 2, 3):
         assert preserves(i, parse("p & q"))
@@ -91,11 +96,12 @@ def test_off_class_constant_examples():
 
 def test_pairwise_distinct_grid():
     table = pairwise_distinct(3)
-    assert len(table) == 6
-    assert table[(1, 2)] == neg_delta_power_term(2)
-    for (i, j), t in table.items():
-        assert preserves(j, t)
-        assert not preserves(i, t)
+    assert table == {j: neg_delta_power_term(j) for j in (1, 2, 3)}
+    pairs = [(i, j) for i, j in itertools.product(table, repeat=2) if i != j]
+    assert len(pairs) == 6
+    for i, j in pairs:
+        assert preserves(j, table[j])
+        assert not preserves(i, table[j])
 
 
 def test_pairwise_distinct_evaluates_each_separator_once(monkeypatch):
@@ -257,6 +263,12 @@ def test_closure_delta_zero():
         format_element(evaluate_closed(parse("D" * k + "0"))) for k in range(7)
     )
     assert values == expect
+
+
+def test_closure_rejects_negative_depth():
+    sig = (NamedFormula("d", parse("Dp")),)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        enumerate_closure(sig, 0, -1, 1)
 
 
 def test_closure_cap_truncates():
