@@ -32,7 +32,7 @@ from .expressibility import (
     verify_precompleteness,
 )
 from .formulas import NamedFormula, ParseError, Var, format_formula, parse
-from .semantics import UnboundVariableError, evaluate, evaluate_closed
+from .semantics import evaluate, evaluate_closed
 
 _DEFAULT_ORACLE_BOUND = 5
 _BOUND_FROM_ENV = object()  # const of a bare --oracle-bound; argparse would run a str const through int
@@ -343,7 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         envelope = {"duration_s": round(time.perf_counter() - started, 6), "version": __version__}
         _emit({"command": args.command} | fields | envelope, args.json)
         return code
-    except (UnboundVariableError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -140,9 +140,10 @@ class Verdict:
 
 # Core connectives on bit vectors whose all-ones value is top: a bit per
 # letter in a transducer lane, every coordinate bit and the tail bit in an
-# oracle lane.
+# oracle lane.  Every walker reads a node as _BOOL[kind](top, x[op[1]], x[op[-1]]):
+# a ! node's last child is its only one, so Not ignores its third argument.
 _BOOL = {
-    Not: lambda top, a: top ^ a,
+    Not: lambda top, a, _: top ^ a,
     And: lambda top, a, b: a & b,
     Or: lambda top, a, b: a | b,
     Implies: lambda top, a, b: (top ^ a) | b,
@@ -208,10 +209,8 @@ class Transducer:
                 out[i] = var_masks[op[1]]
             elif kind is Const:
                 out[i] = top if op[1] else 0
-            elif kind is Not:
-                out[i] = _BOOL[Not](top, out[op[1]])
             else:
-                out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
+                out[i] = _BOOL[kind](top, out[op[1]], out[op[-1]])
         return tuple(out[r] for r in self.roots), keep
 
 
@@ -378,10 +377,8 @@ def compose_key(t: Transducer, operands: Sequence[tuple], n_vars: int) -> tuple:
                 out[i] = at[op[1]][0]
             elif kind is Const:
                 out[i] = top if op[1] else 0
-            elif kind is Not:
-                out[i] = _BOOL[Not](top, out[op[1]])
             else:
-                out[i] = _BOOL[kind](top, out[op[1]], out[op[2]])
+                out[i] = _BOOL[kind](top, out[op[1]], out[op[-1]])
         row = []
         for s in zip(*[a[1] for a in at], kept):  # each letter's successor
             if s not in index:
@@ -599,7 +596,8 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     of that axis, the first covering at least _SLAB_LANES assignments and each
     later one twice the one before; a slab's arrays die before the next is
     built.  Slabs run in enumeration order and the first slab with a hit
-    returns it.
+    returns it.  A closed query's box is its one assignment, {}, settled by
+    one evaluation without slabs.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -618,7 +616,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
         elif kind is Delta:
             settle.append(1 + settle[op[1]])
             on_axis.append(on_axis[op[1]])
-        else:  # op[-1] is op[1] for Not
+        else:
             settle.append(max(settle[op[1]], settle[op[-1]]))
             on_axis.append(on_axis[op[1]] or on_axis[op[-1]])
     width = max(settle, default=0) + 2
@@ -635,8 +633,9 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             f"oracle box of {total} assignments x {len(nodes)} nodes is over the budget of {ORACLE_CELLS} cells"
         )
     nh2, roots = 2 * len(query.hypotheses), dag.roots
-    pairs = [(j < nh2, roots[j], roots[j + 1]) for j in range(0, len(roots), 2) if roots[j] != roots[j + 1]]
-    if all(hyp for hyp, _, _ in pairs):
+    hyps = [(a, b) for a, b in zip(roots[:nh2:2], roots[1:nh2:2]) if a != b]
+    concls = [(a, b) for a, b in zip(roots[nh2::2], roots[nh2 + 1 :: 2]) if a != b]
+    if not concls:
         return None  # no conclusion can be violated
     table = _lane_table(bound, width) if k else None
     var_vals = [table.reshape((1,) * i + (n,) + (1,) * (k - 1 - i)) for i in range(k)]
@@ -653,7 +652,7 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
             elif kind is Delta:
                 vals[i] = _delta_scan(vals[op[1]], width)
             else:
-                vals[i] = _BOOL[kind](top, *(vals[j] for j in op[1:]))
+                vals[i] = _BOOL[kind](top, vals[op[1]], vals[op[-1]])
         return vals
 
     once = evaluate([None] * len(nodes), [i for i in range(len(nodes)) if not on_axis[i]])
@@ -661,25 +660,24 @@ def brute_force(query: QuasiQuery, bound: int) -> dict[str, Element] | None:
     def first_hit() -> tuple[int, ...] | None:
         vals = evaluate(once.copy(), on)  # local, so the slab's arrays die when it returns
         hyp_all, viol = np.ones((1,) * k, dtype=bool), np.bool_(False)
-        for hyp, a, b in pairs:
-            if hyp:
-                hyp_all = hyp_all & (vals[a] == vals[b])
-            else:
-                viol = viol | (vals[a] != vals[b])
+        for a, b in hyps:
+            hyp_all = hyp_all & (vals[a] == vals[b])
+        for a, b in concls:
+            viol = viol | (vals[a] != vals[b])
         hit = hyp_all & viol
         return np.unravel_index(int(hit.argmax()), hit.shape) if hit.any() else None
 
-    # a closed query's box is one assignment, settled in one slab
-    first = var_vals[0] if k else None
-    rows = -(-_SLAB_LANES // n ** (k - 1)) if k else n
+    if not k:
+        return None if first_hit() is None else {}
+    first = var_vals[0]
+    rows = -(-_SLAB_LANES // n ** (k - 1))
     start = 0
     while start < n:
         stop = min(n, start + rows)
-        if k:
-            var_vals[0] = first[start:stop]
+        var_vals[0] = first[start:stop]
         coords = first_hit()
         if coords is not None:
-            coords = (start + int(coords[0]), *coords[1:]) if start else coords
+            coords = (start + int(coords[0]), *coords[1:])
             return {v: element_at(int(c)) for v, c in zip(dag.variables, coords)}
         start = stop
         rows *= 2

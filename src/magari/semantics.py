@@ -10,7 +10,7 @@ from .formulas import _UNARY, ELEMENT_OPS, Const, ElementLit, Formula, Var
 Assignment = Mapping[str, Element]
 
 
-class UnboundVariableError(Exception):
+class UnboundVariableError(ValueError):
     def __init__(self, name: str):
         super().__init__(f"unbound variable '{name}'")
         self.name = name

@@ -474,6 +474,10 @@ def test_brute_force_checks_budget_before_building_elements(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         brute_force(query([("p", "q")]), 30)
     assert brute_force(query([("1", "1")]), 40) is None
+    assert brute_force(query([("D0", "0")]), 40) == {}
+    closed = query([("D(D0 & 1)", "DD0")])
+    assert closed.transducer.roots == (4, 5)  # two nodes, so past the one-node return
+    assert brute_force(closed, 40) is None
 
 
 def _encode(e: Element, width: int) -> int:

@@ -39,6 +39,7 @@ def test_unbound_variable_is_named():
         evaluate(parse("p & q"), {"p": ONE})
     assert exc.value.name == "q"
     assert "q" in str(exc.value)
+    assert isinstance(exc.value, ValueError)
     with pytest.raises(UnboundVariableError):
         evaluate_closed(parse("p"))
 
